@@ -65,9 +65,8 @@ def _closed_form_record(family: str, d: int, T: int) -> dict:
     inst = cons.build_instance(family, d, T)
     final = cons.eval_f(inst, cons.closed_form_iterate(inst, T + 1))
     bound = cons.lower_bound_value(family, d, T)
-    ok = final > bound if d >= 2 else final >= bound
     return {"family": family, "d": d, "T": T, "final_value": final,
-            "bound": bound, "ratio": final / bound, "pass": bool(ok)}
+            "bound": bound, "ratio": final / bound, "pass": cons.beats_bound(final, bound, d)}
 
 
 def _verify_point(job) -> dict:
@@ -75,11 +74,8 @@ def _verify_point(job) -> dict:
     inst = cons.build_instance(family, d, T)
     trace = cons.run_on_instance(inst, seed=seed)
     rep = cons.verify_trajectory(inst, trace, tol=tol)
-    rec = rep.to_dict()
-    rec["ratio"] = rec["final_value"] / rec["bound"]
-    bound_ok = rec["final_value"] > rec["bound"] if d >= 2 else rec["final_value"] >= rec["bound"]
-    rec["pass"] = bool(rep.passed and bound_ok)
-    return rec
+    return {**rep.to_dict(), "ratio": rep.final_value / rep.bound,
+            "pass": rep.passed and cons.beats_bound(rep.final_value, rep.bound, d)}
 
 
 def emit_curve(results: list[dict], x_axis: str = "d") -> tuple[list[str], list[tuple]]:
@@ -190,7 +186,7 @@ def cmd_sweep(args) -> int:
                 if d <= T:
                     jobs.append((family, d, T, args.tol, args.seed))
     if not jobs:
-        raise SystemExit("sweep grid is empty (no (d, T) pair with d <= T)")
+        raise ValueError("sweep grid is empty (no (d, T) pair with d <= T)")
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_verify_point, jobs))
@@ -329,7 +325,10 @@ def main(argv=None) -> int:
     argv = _inject_config(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -57,12 +57,18 @@ _SCHEDULES = {
 @dataclass(frozen=True)
 class AdversarialInstance:
     """One worst-case instance: family tag, dimension d, horizon T and the
-    (d+2, d) matrix of piece gradients h_0..h_{d+1}."""
+    read-only shared slopes a_1..a_d and depths b_1..b_d of its staircase."""
 
     family: str
     d: int
     T: int
-    piece_grads: np.ndarray
+    shared_slopes: np.ndarray
+    depths: np.ndarray
+
+    def __post_init__(self):
+        for name in ("shared_slopes", "depths"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            getattr(self, name).setflags(write=False)
 
     @property
     def quiet_steps(self) -> int:
@@ -75,14 +81,11 @@ class AdversarialInstance:
         return self.family == STRONGLY_CONVEX
 
     @property
-    def shared_slopes(self) -> np.ndarray:
-        """The positive per-coordinate slopes a_1..a_d (gradient of the top piece)."""
-        return self.piece_grads[-1]
-
-    @property
-    def depths(self) -> np.ndarray:
-        """Magnitude of the negative diagonal entry of pieces 1..d."""
-        return -np.diagonal(self.piece_grads[1:self.d + 1])
+    def piece_grads(self) -> np.ndarray:
+        """Dense read-only (d+2, d) table of h_0..h_{d+1}, built on demand."""
+        h = _piece_grad(self, np.arange(self.d + 2), 0.0)
+        h.setflags(write=False)
+        return h
 
     @property
     def lipschitz_constant(self) -> float:
@@ -96,8 +99,16 @@ class AdversarialInstance:
         return Ball(radius=1.0, dim=self.d)
 
 
+def _piece_grad(inst: AdversarialInstance, i, x) -> np.ndarray:
+    """Gradient of piece i at x: a_j for j < i, -b_i at j = i, zero beyond, plus
+    x in the strongly convex family; an index array gives one row per index."""
+    j, i = np.arange(1, inst.d + 1), np.asarray(i)[..., None]
+    g = np.where(j < i, inst.shared_slopes, np.where(j == i, -inst.depths, 0.0))
+    return g + x if inst.quadratic else g
+
+
 def build_instance(family: str, d: int, T: int) -> AdversarialInstance:
-    """Populate the coefficient tables for one (family, d, T) instance."""
+    """The shared slopes and depths of one (family, d, T) instance."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if d < 1:
@@ -115,23 +126,19 @@ def build_instance(family: str, d: int, T: int) -> AdversarialInstance:
             depths = np.sqrt(j + T - d) / (2.0 * np.sqrt(T))
         else:
             depths = np.full(d, 0.5)
-
-    h = np.zeros((d + 2, d))
-    for i in range(1, d + 1):
-        h[i, :i - 1] = slopes[:i - 1]
-        h[i, i - 1] = -depths[i - 1]
-    h[d + 1] = slopes
-    h.setflags(write=False)
-    return AdversarialInstance(family=family, d=d, T=T, piece_grads=h)
+    return AdversarialInstance(family, d, T, shared_slopes=slopes, depths=depths)
 
 
 def piece_values(inst: AdversarialInstance, x: np.ndarray) -> np.ndarray:
-    """Values of all d+2 pieces at x; accepts a single point or an (n, d) batch."""
+    """Values of all d+2 pieces at x, a single point or an (n, d) batch, in
+    O(d) per point: with S_k = sum_{j<=k} a_j x_j and S_0 = 0, piece 0 is 0,
+    piece i in 1..d is S_{i-1} - b_i x_i and piece d+1 is S_d."""
     x = np.asarray(x, dtype=float)
-    vals = x @ inst.piece_grads.T
+    zero = np.zeros_like(x[..., :1])
+    S = np.cumsum(np.concatenate((zero, inst.shared_slopes * x), axis=-1), axis=-1)
+    vals = np.concatenate((zero, S[..., :-1] - inst.depths * x, S[..., -1:]), axis=-1)
     if inst.quadratic:
-        sq = 0.5 * np.sum(x * x, axis=-1)
-        vals = vals + (sq[..., None] if x.ndim > 1 else sq)
+        vals += 0.5 * np.sum(x * x, axis=-1, keepdims=True)
     return vals
 
 
@@ -145,7 +152,7 @@ def eval_f(inst: AdversarialInstance, x) -> float:
 
 def active_set(inst: AdversarialInstance, x, tol: float = ACTIVE_TOL) -> np.ndarray:
     """Indices of pieces within ``tol`` of the max at x, sorted ascending."""
-    vals = piece_values(inst, np.asarray(x, dtype=float))
+    vals = piece_values(inst, x)
     return np.flatnonzero(vals >= np.max(vals) - tol)
 
 
@@ -153,12 +160,7 @@ def subgradient_at(inst: AdversarialInstance, x) -> np.ndarray:
     """A canonical subgradient at x: the lowest active piece's gradient
     (plus x for the strongly convex family).  Valid at every point of the
     ball, including where only the base piece is active."""
-    x = np.asarray(x, dtype=float)
-    i = int(active_set(inst, x)[0])
-    g = inst.piece_grads[i].copy()
-    if inst.quadratic:
-        g += x
-    return g
+    return _piece_grad(inst, active_set(inst, x)[0], np.asarray(x, dtype=float))
 
 
 class AdversarialOracle:
@@ -198,10 +200,26 @@ class AdversarialOracle:
         expected = t - inst.quiet_steps
         if i != expected:
             self.divergences.append((t, expected, i))
-        g = inst.piece_grads[i].copy()
-        if inst.quadratic:
-            g += np.asarray(x, dtype=float)
-        return g
+        return _piece_grad(inst, i, np.asarray(x, dtype=float))
+
+
+def _closed_form_rows(inst: AdversarialInstance, ts):
+    """Support z_{t,1..t-q-1} of the predicted iterate for each step t in ts,
+    every t >= q+2 with q = T-d; the lip-dec prefix sum is computed once."""
+    q = inst.quiet_steps
+    if inst.family == LIPSCHITZ_DECREASING:
+        # prefix[m] = sum_{k=1}^m 1/sqrt(k), prefix[0] = 0
+        prefix = np.concatenate(([0.0], np.cumsum(1.0 / np.sqrt(np.arange(1, inst.T + 1)))))
+    for t in ts:
+        m = t - q                      # support is coordinates 1..m-1
+        a, b = inst.shared_slopes[:m - 1], inst.depths[:m - 1]
+        jj = np.arange(1, m, dtype=float)
+        if inst.family == STRONGLY_CONVEX:
+            yield (1.0 - (t - q - jj - 1.0) * a) / (t - 1.0)
+        elif inst.family == LIPSCHITZ_FIXED:
+            yield (b - a * (t - jj - q - 1.0)) / np.sqrt(inst.T)
+        else:
+            yield b / np.sqrt(jj + q) - a * (prefix[t - 1] - prefix[np.arange(1, m) + q])
 
 
 def closed_form_trajectory(inst: AdversarialInstance) -> np.ndarray:
@@ -214,35 +232,22 @@ def closed_form_trajectory(inst: AdversarialInstance) -> np.ndarray:
       lip-dec:   z_{t,j} = b_j/sqrt(j+q) - a_j * sum_{k=j+q+1}^{t-1} 1/sqrt(k)
       lip-fixed: z_{t,j} = (b_j - a_j (t-j-q-1)) / sqrt(T)
     """
-    d, T, q = inst.d, inst.T, inst.quiet_steps
-    a = inst.shared_slopes
-    b = inst.depths
-    z = np.zeros((T + 1, d))
-    if inst.family == LIPSCHITZ_DECREASING:
-        # prefix[m] = sum_{k=1}^m 1/sqrt(k), prefix[0] = 0
-        prefix = np.concatenate(([0.0], np.cumsum(1.0 / np.sqrt(np.arange(1, T + 1)))))
-    for t in range(q + 2, T + 2):
-        m = t - q                      # support is coordinates 1..m-1
-        jj = np.arange(1, m, dtype=float)
-        if inst.family == STRONGLY_CONVEX:
-            row = (1.0 - (t - q - jj - 1.0) * a[:m - 1]) / (t - 1.0)
-        elif inst.family == LIPSCHITZ_FIXED:
-            row = (b[:m - 1] - a[:m - 1] * (t - jj - q - 1.0)) / np.sqrt(T)
-        else:
-            base = b[:m - 1] / np.sqrt(jj + q)
-            tails = prefix[t - 1] - prefix[np.arange(1, m) + q]
-            row = base - a[:m - 1] * tails
-        z[t - 1, :m - 1] = row
+    z = np.zeros((inst.T + 1, inst.d))
+    ts = range(inst.quiet_steps + 2, inst.T + 2)
+    for t, row in zip(ts, _closed_form_rows(inst, ts)):
+        z[t - 1, :row.size] = row
     return z
 
 
 def closed_form_iterate(inst: AdversarialInstance, t: int) -> np.ndarray:
-    """Predicted iterate z_t for a single 1-based step index t in 1..T+1."""
+    """Predicted iterate z_t for one step t in 1..T+1: bit for bit z_t of the
+    trajectory, without building it."""
     if not 1 <= t <= inst.T + 1:
         raise ValueError(f"t={t} out of range 1..{inst.T + 1}")
-    if t <= inst.quiet_steps + 1:
-        return np.zeros(inst.d)
-    return closed_form_trajectory(inst)[t - 1].copy()
+    z = np.zeros(inst.d)
+    if t > inst.quiet_steps + 1:
+        z[:t - inst.quiet_steps - 1] = next(_closed_form_rows(inst, [t]))
+    return z
 
 
 def lower_bound_value(family: str, d: int, T: int) -> float:
@@ -259,6 +264,12 @@ def lower_bound_value(family: str, d: int, T: int) -> float:
     if family == STRONGLY_CONVEX:
         return np.log(d) / (5.0 * T) if d >= 2 else 1.0 / (4.0 * T)
     return np.log(d) / (32.0 * np.sqrt(T)) if d >= 2 else 1.0 / (32.0 * np.sqrt(T))
+
+
+def beats_bound(final_value: float, bound: float, d: int) -> bool:
+    """Whether a final value certifies the lower bound: strictly above it for
+    d >= 2, at least equal to it for the d = 1 fallback bound."""
+    return bool(final_value > bound if d >= 2 else final_value >= bound)
 
 
 def run_on_instance(inst: AdversarialInstance, seed: int = 0) -> SgdTrace:
@@ -372,12 +383,10 @@ def check_lipschitz(inst: AdversarialInstance, L: float | None = None,
 
     # subgradient norms over all active pieces at the x-samples
     act = vx >= fx[:, None] - ACTIVE_TOL
-    row_sq = np.sum(inst.piece_grads ** 2, axis=1)
-    if inst.quadratic:
-        lin = X @ inst.piece_grads.T
-        norms_sq = row_sq[None, :] + 2.0 * lin + np.sum(X * X, axis=1)[:, None]
-    else:
-        norms_sq = np.broadcast_to(row_sq, act.shape)
+    c = np.cumsum(np.concatenate(([0.0], inst.shared_slopes ** 2)))
+    row_sq = np.concatenate(([0.0], c[:-1] + inst.depths ** 2, c[-1:]))
+    # ||h_i + x||^2 = ||h_i||^2 + 2 (h_i.x + ||x||^2/2), and the bracket is vx
+    norms_sq = row_sq + 2.0 * vx if inst.quadratic else row_sq
     gnorm = float(np.sqrt(np.max(np.where(act, norms_sq, 0.0))))
 
     passed = worst <= slack_tol and gnorm <= L + slack_tol
@@ -407,7 +416,7 @@ def check_strong_convexity(inst: AdversarialInstance, alpha: float = 1.0,
     fx = vx.max(axis=1)
     fy = piece_values(inst, Y).max(axis=1)
     first_active = np.argmax(vx >= fx[:, None] - ACTIVE_TOL, axis=1)
-    G = inst.piece_grads[first_active] + X
+    G = _piece_grad(inst, first_active, X)
     diff = Y - X
     slack = fy - fx - np.sum(G * diff, axis=1) - 0.5 * alpha * np.sum(diff * diff, axis=1)
     worst_idx = int(np.argmin(slack))
@@ -428,6 +437,4 @@ def dump_instance_csv(inst: AdversarialInstance, path) -> None:
         fh.write(f"# T={inst.T}\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["i", "j", "h_value"])
-        for i in range(inst.d + 2):
-            for j in range(1, inst.d + 1):
-                w.writerow([i, j, f"{inst.piece_grads[i, j - 1]:.17g}"])
+        w.writerows((i, j + 1, f"{v:.17g}") for (i, j), v in np.ndenumerate(inst.piece_grads))

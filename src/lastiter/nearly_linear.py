@@ -152,33 +152,20 @@ def good_set(inst: NearlyLinearInstance, T: int) -> GoodSet:
         raise ValueError("T must be >= 1")
     theta = inst.grad_bound * inst.diameter / math.sqrt(T)
 
-    def cross(lo_pt: float, hi_pt: float) -> float:
-        # f - theta changes sign on [lo_pt, hi_pt]; bisect to 1e-12
-        a, b = lo_pt, hi_pt
+    def cross(inside: float, outside: float) -> float:
+        # f(inside) <= theta < f(outside); bisect to 1e-12, keeping the f <= theta end
         for _ in range(200):
-            if b - a <= 1e-12:
+            if abs(outside - inside) <= 1e-12:
                 break
-            mid = 0.5 * (a + b)
+            mid = 0.5 * (inside + outside)
             if float(inst.f(mid)) <= theta:
-                a = mid
+                inside = mid
             else:
-                b = mid
-        return a
+                outside = mid
+        return inside
 
     right = inst.hi if float(inst.f(inst.hi)) <= theta else cross(0.0, inst.hi)
-    if float(inst.f(inst.lo)) <= theta:
-        left = inst.lo
-    else:
-        a, b = inst.lo, 0.0
-        for _ in range(200):
-            if b - a <= 1e-12:
-                break
-            mid = 0.5 * (a + b)
-            if float(inst.f(mid)) <= theta:
-                b = mid
-            else:
-                a = mid
-        left = b
+    left = inst.lo if float(inst.f(inst.lo)) <= theta else cross(0.0, inst.lo)
     return GoodSet(left=left, right=right, threshold=theta)
 
 
@@ -219,8 +206,8 @@ def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
     Equivalent to running the engine per path (each trial consumes its own
     Philox stream, one uniform per step); vectorized across trials for speed.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if T < 1 or trials < 1:
+        raise ValueError("T and trials must be >= 1")
     if not inst.lo <= x0 <= inst.hi:
         raise ValueError("x0 outside the domain")
     G, D = inst.grad_bound, inst.diameter

@@ -35,30 +35,38 @@ _MONOTONE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class WalkChain:
-    """Grid size n, left-move probabilities a_0..a_n and the transition matrix."""
+    """Grid size n and left-move probabilities a_0..a_n, which define the walk."""
 
     n: int
     left_probs: np.ndarray   # (n+1,)
-    matrix: np.ndarray       # (n+1, n+1) row-stochastic
 
     @property
     def grid(self) -> np.ndarray:
         return np.arange(self.n + 1) / self.n
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense (n+1, n+1) row-stochastic transition matrix, O(n^2) memory."""
+        sub, main, sup = _diagonals(self.left_probs)
+        P, i = np.diag(main), np.arange(self.n)
+        P[i + 1, i], P[i, i + 1] = sub, sup
+        return P
 
-def transition_matrix(left_probs: np.ndarray) -> np.ndarray:
-    """Tridiagonal row-stochastic matrix of the projected walk."""
-    a = np.asarray(left_probs, dtype=float)
-    n = a.shape[0] - 1
-    P = np.zeros((n + 1, n + 1))
-    P[0, 0] = a[0]
-    P[0, 1] = 1.0 - a[0]
-    for i in range(1, n):
-        P[i, i - 1] = a[i]
-        P[i, i + 1] = 1.0 - a[i]
-    P[n, n - 1] = a[n]
-    P[n, n] = 1.0 - a[n]
-    return P
+
+def _diagonals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sub-, main and super-diagonal of the transition matrix: left with
+    probability a_i, right with 1 - a_i, staying put where [0, 1] ends."""
+    main = np.zeros_like(a)
+    main[0], main[-1] = a[0], 1.0 - a[-1]
+    return a[1:], main, 1.0 - a[:-1]
+
+
+def _step(p: np.ndarray, sub, main, sup) -> np.ndarray:
+    """One transition p -> p P in O(n) from the three diagonals of P."""
+    q = main * p
+    q[1:] += sup * p[:-1]
+    q[:-1] += sub * p[1:]
+    return q
 
 
 def make_chain(left_probs) -> WalkChain:
@@ -71,10 +79,8 @@ def make_chain(left_probs) -> WalkChain:
     if np.any(np.diff(a) < -_MONOTONE_TOL):
         raise ValueError("left-move probabilities must be nondecreasing")
     a = np.clip(a, 0.5, 1.0)
-    P = transition_matrix(a)
     a.setflags(write=False)
-    P.setflags(write=False)
-    return WalkChain(n=a.shape[0] - 1, left_probs=a, matrix=P)
+    return WalkChain(n=a.shape[0] - 1, left_probs=a)
 
 
 def chain_from_function(f: Callable[[float], float], n: int,
@@ -114,7 +120,7 @@ class StationaryResult:
 
 
 def _residual(chain: WalkChain, p: np.ndarray) -> float:
-    return float(np.max(np.abs(p @ chain.matrix - p)))
+    return float(np.max(np.abs(_step(p, *_diagonals(chain.left_probs)) - p)))
 
 
 def stationary_closed_form(chain: WalkChain) -> StationaryResult:
@@ -163,8 +169,9 @@ def stationary_solve(chain: WalkChain, method: str = "linear_solve",
         return StationaryResult(p=p, method=method, residual=_residual(chain, p))
     if method == "power_iteration":
         p = np.full(n + 1, 1.0 / (n + 1))
+        diagonals = _diagonals(chain.left_probs)
         for _ in range(max_iters):
-            q = p @ chain.matrix
+            q = _step(p, *diagonals)
             r = float(np.max(np.abs(q - p)))
             p = q
             if r <= tol:

@@ -178,3 +178,22 @@ def test_emit_curve_contract():
          {"d": 2, "T": 2, "final_value": 0.1, "bound": 0.05}])
     assert head == ["d", "final_suboptimality", "bound"]
     assert rows[0][0] == 2 and rows[1][0] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "--n", "0"],
+    ["certify", "--family", "sc", "--d", "2", "--T", "4", "--samples", "0"],
+    ["mc", "--T", "0", "--trials", "200"],
+    ["mc", "--T", "100", "--trials", "50"],
+    ["mc", "--T", "100", "--trials", "200", "--x0", "5"],
+    ["lowerbound", "--family", "sc", "--d", "5", "--T", "2"],
+    ["lowerbound", "--family", "sc", "--d", "2", "--T", "4", "--out", "{missing}"],
+    ["sweep", "--family", "sc", "--d", "128", "--T", "64"],
+], ids=["walk-n0", "certify-samples0", "mc-T0", "mc-trials50", "mc-x0-outside",
+        "lowerbound-d-above-T", "out-missing-dir", "sweep-empty-grid"])
+def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "missing" / "x.json") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("lastiter: error: ")

@@ -60,8 +60,32 @@ def test_build_validation():
 
 def test_piece_grads_are_locked():
     inst = cons.build_instance("sc", 2, 4)
-    with pytest.raises(ValueError):
-        inst.piece_grads[0, 0] = 1.0
+    for table in (inst.piece_grads, inst.shared_slopes, inst.depths):
+        with pytest.raises(ValueError):
+            table[0, ...] = 1.0
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 5, 64])
+def test_structured_pieces_match_dense_table(family, d):
+    # a loop-built dense table is the reference for the O(d) staircase routes
+    inst = cons.build_instance(family, d, max(2 * d, 16))
+    h = np.zeros((d + 2, d))
+    for i in range(1, d + 1):
+        h[i, :i - 1] = inst.shared_slopes[:i - 1]
+        h[i, i - 1] = -inst.depths[i - 1]
+    h[d + 1] = inst.shared_slopes
+    np.testing.assert_array_equal(inst.piece_grads, h)
+    X = np.vstack([cons.sample_ball(np.random.default_rng(d), 200, d),
+                   cons.closed_form_trajectory(inst)])
+    dense = X @ h.T
+    if inst.quadratic:
+        dense += 0.5 * np.sum(X * X, axis=1)[:, None]
+    np.testing.assert_allclose(cons.piece_values(inst, X), dense, rtol=0, atol=1e-15)
+    for x, row in zip(X, dense):
+        np.testing.assert_allclose(cons.piece_values(inst, x), row, rtol=0, atol=1e-15)
+        g = h[np.argmax(row >= row.max() - cons.ACTIVE_TOL)] + (x if inst.quadratic else 0.0)
+        np.testing.assert_array_equal(cons.subgradient_at(inst, x), g)
 
 
 # ------------------------------------------------------------------- eval_f
@@ -127,8 +151,9 @@ def test_oracle_step_index_range():
 
 def test_oracle_rejects_points_with_only_base_piece_active():
     # hand-crafted tables where both upper pieces sit strictly below the base
-    h = np.array([[0.0], [-1.0], [-1.0]])
-    inst = cons.AdversarialInstance(family="lip-fixed", d=1, T=1, piece_grads=h)
+    inst = cons.AdversarialInstance(family="lip-fixed", d=1, T=1,
+                                    shared_slopes=[-1.0], depths=[1.0])
+    np.testing.assert_array_equal(inst.piece_grads, [[0.0], [-1.0], [-1.0]])
     orc = cons.AdversarialOracle(inst)
     with pytest.raises(RuntimeError):
         orc.subgradient(np.array([0.4]), 1)
@@ -158,6 +183,15 @@ def test_closed_form_hand_values():
                                rtol=0, atol=1e-16)
     np.testing.assert_allclose(cons.closed_form_iterate(inst, 5), [7 / 32, 0.25],
                                rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+def test_closed_form_iterate_is_trajectory_row(family):
+    for d, T in GRID:
+        inst = cons.build_instance(family, d, T)
+        z = cons.closed_form_trajectory(inst)
+        for t in range(1, T + 2):
+            assert np.array_equal(cons.closed_form_iterate(inst, t), z[t - 1])
 
 
 def test_closed_form_range():

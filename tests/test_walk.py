@@ -24,6 +24,18 @@ def test_transition_matrix_pattern_and_row_sums():
     np.testing.assert_array_equal(ch.matrix.sum(axis=1), np.ones(3))
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_tridiagonal_step_matches_dense_product(n):
+    rng = np.random.default_rng(n)
+    profiles = [np.sort(rng.uniform(0.5, 1.0, n + 1)),
+                np.concatenate((np.sort(rng.uniform(0.5, 1.0, n)), [1.0]))]
+    for a in profiles:
+        ch = wk.make_chain(a)
+        p = rng.dirichlet(np.ones(n + 1))
+        q = wk._step(p, *wk._diagonals(ch.left_probs))
+        np.testing.assert_allclose(q, p @ ch.matrix, rtol=0, atol=1e-15)
+
+
 def test_make_chain_validation():
     with pytest.raises(ValueError):
         wk.make_chain([0.75, 0.6, 0.8])       # not monotone

@@ -9,7 +9,7 @@ subcommands.
 """
 
 from .engine import (Ball, Interval, SgdTrace, StepSchedule, run_sgd,
-                     running_average, trace_to_csv)
+                     running_average, sgd_steps, trace_to_csv)
 from .constructions import (FAMILIES, LIPSCHITZ_DECREASING, LIPSCHITZ_FIXED,
                             STRONGLY_CONVEX, AdversarialInstance,
                             AdversarialOracle, active_set, build_instance,

@@ -209,15 +209,27 @@ def cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------
 # parser assembly and config handling
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p, jobs=False):
     p.add_argument("--config", help="flat key=value file; flags override it")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--seed", type=int, default=0)
     if jobs:
-        default_jobs = int(os.environ.get(JOBS_ENV, "1"))
-        p.add_argument("--jobs", type=int, default=default_jobs,
-                       help=f"worker processes (default from ${JOBS_ENV} or 1)")
+        # a string default goes through _positive_int too, so a bad
+        # $LASTITER_JOBS is a usage error like a bad --jobs
+        p.add_argument("--jobs", type=_positive_int,
+                       default=os.environ.get(JOBS_ENV, "1"),
+                       help=f"worker processes, >= 1 (default from ${JOBS_ENV} or 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -294,7 +306,7 @@ def _load_config(path: str) -> list[str]:
                 continue
             key, _, value = line.partition("=")
             if not _:
-                raise SystemExit(f"bad config line (want key=value): {line!r}")
+                raise ValueError(f"bad config line in {path} (want key=value): {line!r}")
             flags.append(f"--{key.strip()}={value.strip()}")
     return flags
 
@@ -322,10 +334,9 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _inject_config(argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(_inject_config(argv))
         return args.func(args)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))

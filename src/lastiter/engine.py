@@ -1,15 +1,17 @@
-"""Projected (stochastic) subgradient descent with full iterate history.
+"""Projected (stochastic) subgradient descent.
 
 The engine is deliberately small: a feasible set with an exact projection,
-a step-size schedule evaluated fresh at every step, and a first-order
-oracle queried exactly once per step with the current point and the
-1-based step index.  Everything downstream (worst-case constructions,
-grid random walks, Monte Carlo studies) goes through :func:`run_sgd`.
+a step-size schedule evaluated once per run, and a first-order oracle
+queried exactly once per step with the current point (or batch of points)
+and the 1-based step index.  Everything downstream (worst-case
+constructions, grid random walks, Monte Carlo studies) runs through the one
+kernel :func:`sgd_steps`; only :func:`run_sgd` keeps a history.
 
 An oracle is any object with
 
-    value(x) -> float            objective value at x
-    subgradient(x, t) -> array   subgradient estimate at x for step t
+    value(x) -> float            objective value at x (used by run_sgd only)
+    subgradient(x, t) -> array   subgradient estimate at x for step t, shaped
+                                 like x (one row per point of a batch)
     reset(seed)                  optional; reseed internal randomness
 
 ``reset`` is called at the start of every run, so identical arguments
@@ -57,13 +59,17 @@ class StepSchedule:
             raise ValueError(f"step index {t} out of range (must be >= 1)")
         if self.horizon is not None and t > self.horizon:
             raise ValueError(f"step index {t} exceeds horizon {self.horizon}")
+        return float(self._sizes(np.array([t]))[0])
+
+    def _sizes(self, t: np.ndarray) -> np.ndarray:
+        """Step sizes at an array of valid 1-based step indices."""
         if self.kind == "inv_t":
             return 1.0 / t
         if self.kind == "inv_sqrt_t":
             return 1.0 / np.sqrt(t)
         if self.kind == "inv_sqrt_horizon":
-            return 1.0 / np.sqrt(self.horizon)
-        return float(self.value)
+            return np.full(t.shape, 1.0 / np.sqrt(self.horizon))
+        return np.full(t.shape, float(self.value))
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,11 @@ class Ball:
             raise ValueError("dim must be >= 1")
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Nearest point of the ball: x * min(1, radius/||x||)."""
+        """Nearest point of the ball: x * min(1, radius/||x||).  Single
+        points only; a (B, d) batch raises ValueError."""
         x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"Ball projects single points, got shape {x.shape}")
         nrm = float(np.linalg.norm(x))
         if nrm <= self.radius:
             return x.copy()
@@ -137,38 +146,58 @@ class SgdTrace:
         return self.iterates[-1]
 
 
-def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
-            seed: int = 0) -> SgdTrace:
-    """Run x_{t+1} = project(x_t - eta_t * g_t) for t = 1..T and record everything.
+def sgd_steps(oracle, feasible, schedule: StepSchedule, x1, T: int,
+              seed: int = 0):
+    """Yield ``(0, None, x_1)``, then ``(t, g_t, x_{t+1})`` for t = 1..T, where
+    x_{t+1} = project(x_t - eta_t * g_t).
 
-    The step counter is 1-based and passed to the oracle, so oracles whose
-    behavior depends on the step index (e.g. ones that sleep for a while and
-    then kick) need no hidden state.  ``seed`` is forwarded to
-    ``oracle.reset`` when the oracle has one; deterministic oracles ignore it.
+    ``x1`` is one point (d,) or a batch (B, d) whose rows share the step
+    sizes.  Arguments are checked and ``oracle.reset(seed)`` called (when
+    the oracle has one) as the first item is requested.  The step counter
+    passed to the oracle is 1-based, so oracles whose behavior depends on
+    the step index (e.g. ones that sleep and then kick) need no hidden state.
     """
     x = np.atleast_1d(np.asarray(x1, dtype=float)).copy()
-    if x.ndim != 1 or x.shape[0] != feasible.dim:
+    if x.ndim not in (1, 2) or x.shape[-1] != feasible.dim:
         raise ValueError(f"x1 has dimension {x.shape}, feasible set wants {feasible.dim}")
     if not feasible.contains(x):
         raise ValueError("x1 lies outside the feasible set")
     if T < 1:
         raise ValueError("T must be >= 1")
+    if schedule.horizon is not None and T > schedule.horizon:
+        raise ValueError(f"T = {T} exceeds the schedule horizon {schedule.horizon}")
+    etas = schedule._sizes(np.arange(1, T + 1))
     if hasattr(oracle, "reset"):
         oracle.reset(seed)
 
-    d = x.shape[0]
-    iterates = np.empty((T + 1, d))
-    gradients = np.empty((T, d))
+    yield 0, None, x
+    for t, eta in enumerate(etas, start=1):
+        g = np.atleast_1d(np.asarray(oracle.subgradient(x, t), dtype=float))
+        if g.shape != x.shape:
+            raise ValueError(f"oracle returned shape {g.shape}, expected {x.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError(f"oracle returned a non-finite subgradient at step {t}")
+        x = feasible.project(x - eta * g)
+        yield t, g, x
+
+
+def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
+            seed: int = 0) -> SgdTrace:
+    """Run one path of :func:`sgd_steps` and record everything.
+
+    ``x1`` must be a single point; ``seed`` is forwarded to ``oracle.reset``
+    when the oracle has one, and deterministic oracles ignore it.
+    """
+    if np.ndim(x1) > 1:
+        raise ValueError(f"run_sgd records a single path; x1 has shape {np.shape(x1)}")
+    steps = sgd_steps(oracle, feasible, schedule, x1, T, seed)
+    _, _, x = next(steps)
+    iterates = np.empty((T + 1, x.shape[0]))
+    gradients = np.empty((T, x.shape[0]))
     values = np.empty(T + 1)
     iterates[0] = x
     values[0] = oracle.value(x)
-    for t in range(1, T + 1):
-        g = np.atleast_1d(np.asarray(oracle.subgradient(x, t), dtype=float))
-        if g.shape != (d,):
-            raise ValueError(f"oracle returned shape {g.shape}, expected ({d},)")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"oracle returned a non-finite subgradient at step {t}")
-        x = feasible.project(x - schedule.eval(t) * g)
+    for t, g, x in steps:
         gradients[t - 1] = g
         iterates[t] = x
         values[t] = oracle.value(x)

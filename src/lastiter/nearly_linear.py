@@ -11,10 +11,12 @@ unbiased, and outside the good set
 the mean magnitude |s(x)| stays inside the band [c eps G, eps G], which is
 what "nearly linear" means here.  Paths use the fixed step eta = 4D/(G sqrt(T)).
 
-Simulation is vectorized across trials.  Every trial owns a counter-based
-Philox stream keyed by (seed, trial index), so results are independent of
-batch size and trial order; one path pushed through the generic engine with
-the same stream reproduces the vectorized path bit for bit (see tests).
+Paths run through the engine's one SGD kernel, :func:`engine.sgd_steps`,
+a chunk of trials at a time as one batch.  Every trial owns a counter-based
+Philox stream keyed by (seed, trial index), drawn ``TILE`` steps at a time,
+so results are independent of batch size and trial order, memory is
+O(chunk x TILE) whatever the horizon, and one path recorded by ``run_sgd``
+reproduces the batched path bit for bit (see tests).
 """
 
 from __future__ import annotations
@@ -24,9 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Interval, SgdTrace, StepSchedule, run_sgd
+from .engine import Interval, SgdTrace, StepSchedule, run_sgd, sgd_steps
 
 _BAND_TOL = 1e-12
+
+#: steps of uniforms drawn from each trial's stream at a time.  Not a power
+#: of two: a step reads one column of the (B, TILE) tile, and a power-of-two
+#: row stride (512 doubles = 4096 bytes) maps every row of that column to the
+#: same few cache sets (about 5 us more per step at B = 2048 on a 2-vCPU
+#: x86_64 machine).
+TILE = 500
 
 SHAPES = ("abs", "asym_abs", "piecewise")
 
@@ -59,10 +68,9 @@ class NearlyLinearInstance:
     def mean_grad(self, x):
         """Conditional mean of the oracle at x: the right-derivative slope
         (left derivative at the right endpoint)."""
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.knots, x, side="right") - 1
-        idx = np.clip(idx, 0, self.slopes.shape[0] - 1)
-        return self.slopes[idx]
+        # the count of interior knots <= x is the index of x's segment; points
+        # at or beyond either end of the domain fall in the end segments
+        return self.slopes[np.searchsorted(self.knots[1:-1], x, side="right")]
 
     def plus_prob(self, x):
         """P[oracle answers +G] at x."""
@@ -203,73 +211,87 @@ def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
     """Run ``trials`` independent paths of T steps from x0 and collect
     final suboptimalities and last good-set visit times.
 
-    Equivalent to running the engine per path (each trial consumes its own
-    Philox stream, one uniform per step); vectorized across trials for speed.
+    Each chunk of trials is one batch through :func:`engine.sgd_steps` with
+    a batched :class:`NearlyLinearOracle`; only the current iterates, the
+    last visit times and one tile of uniforms per trial are held, so memory
+    is O(chunk x TILE).  Trial r gives the same path as
+    ``path_via_engine(inst, T, x0, seed, trial=r)``.
     """
     if T < 1 or trials < 1:
         raise ValueError("T and trials must be >= 1")
     if not inst.lo <= x0 <= inst.hi:
         raise ValueError("x0 outside the domain")
-    G, D = inst.grad_bound, inst.diameter
-    eta = 4.0 * D / (G * math.sqrt(T))
-    theta = G * D / math.sqrt(T)
+    schedule = _fixed_step(inst, T)
+    theta = inst.grad_bound * inst.diameter / math.sqrt(T)
 
     final_x = np.empty(trials)
     last_visit = np.full(trials, -1, dtype=np.int64)
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        B = stop - start
-        U = np.empty((B, T))
-        for r in range(B):
-            U[r] = trial_stream(seed, start + r).random(T)
-        x = np.full(B, float(x0))
-        last = np.full(B, 0 if float(inst.f(x0)) <= theta else -1, dtype=np.int64)
-        for t in range(1, T + 1):
-            g = np.where(U[:, t - 1] < inst.plus_prob(x), G, -G)
-            x = np.clip(x - eta * g, inst.lo, inst.hi)
-            in_s = inst.f(x) <= theta
-            last[in_s] = t
-        final_x[start:stop] = x
-        last_visit[start:stop] = last
+        oracle = NearlyLinearOracle(inst, trial=np.arange(start, stop))
+        last = last_visit[start:stop]  # a view: the loop fills last_visit
+        for t, _, x in sgd_steps(oracle, Interval(inst.lo, inst.hi), schedule,
+                                 np.full((stop - start, 1), float(x0)), T, seed):
+            last[inst.f(x[:, 0]) <= theta] = t
+        final_x[start:stop] = x[:, 0]
 
     return PathStats(
-        T=T, trials=trials, x0=float(x0), seed=seed, step=eta, threshold=theta,
-        final_x=final_x, final_subopt=np.asarray(inst.f(final_x)),
+        T=T, trials=trials, x0=float(x0), seed=seed, step=schedule.value,
+        threshold=theta, final_x=final_x, final_subopt=np.asarray(inst.f(final_x)),
         last_visit=last_visit)
 
 
 class NearlyLinearOracle:
-    """Engine-compatible view of the two-point oracle for a single trial.
+    """Engine-compatible two-point oracle for one trial or a batch of trials.
 
-    Draws one uniform per query from the same (seed, trial) Philox stream the
-    vectorized simulator uses, so a single engine run reproduces the
-    corresponding vectorized path exactly.
+    ``trial`` is an int (points of shape (1,)) or an index array (batches of
+    shape (B, 1), row r belonging to trial ``trial[r]``).  Every subgradient
+    query draws one uniform per trial from that trial's (seed, trial) Philox
+    stream, so a trial's answers do not depend on the batch it runs in.  The
+    streams are created at the first query after ``reset`` and refill a
+    (B, TILE) buffer of uniforms in place, one row each, every TILE queries.
     """
 
-    def __init__(self, inst: NearlyLinearInstance, trial: int = 0):
+    def __init__(self, inst: NearlyLinearInstance, trial=0):
         self.inst = inst
         self.trial = trial
-        self._rng = trial_stream(0, trial)
+        self._seed = 0
+        self._streams = None
 
     def reset(self, seed: int) -> None:
-        self._rng = trial_stream(seed, self.trial)
+        self._seed = seed
+        self._streams = None
 
     def value(self, x) -> float:
         return float(self.inst.f(float(np.asarray(x).reshape(-1)[0])))
 
     def subgradient(self, x, t: int) -> np.ndarray:
-        p = float(self.inst.plus_prob(float(np.asarray(x).reshape(-1)[0])))
-        g = self.inst.grad_bound if self._rng.random() < p else -self.inst.grad_bound
-        return np.array([g])
+        if self._streams is None:
+            self._streams = [trial_stream(self._seed, int(r))
+                             for r in np.atleast_1d(self.trial)]
+            self._tile = np.empty((len(self._streams), TILE))
+            self._col = TILE
+        if self._col == TILE:
+            for stream, row in zip(self._streams, self._tile):
+                stream.random(out=row)
+            self._col = 0
+        u = self._tile[:, self._col].reshape(np.shape(x))
+        self._col += 1
+        G = self.inst.grad_bound
+        return np.where(u < self.inst.plus_prob(x), G, -G)
+
+
+def _fixed_step(inst: NearlyLinearInstance, T: int) -> StepSchedule:
+    """The fixed step eta = 4D/(G sqrt(T)) of every path."""
+    eta = 4.0 * inst.diameter / (inst.grad_bound * math.sqrt(T))
+    return StepSchedule("constant", value=eta)
 
 
 def path_via_engine(inst: NearlyLinearInstance, T: int, x0: float,
                     seed: int = 0, trial: int = 0) -> SgdTrace:
     """One trial's path pushed through the generic engine (fixed step)."""
-    eta = 4.0 * inst.diameter / (inst.grad_bound * math.sqrt(T))
     oracle = NearlyLinearOracle(inst, trial=trial)
-    return run_sgd(oracle, Interval(inst.lo, inst.hi),
-                   StepSchedule("constant", value=eta),
+    return run_sgd(oracle, Interval(inst.lo, inst.hi), _fixed_step(inst, T),
                    np.array([float(x0)]), T, seed=seed)
 
 

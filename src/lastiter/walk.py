@@ -158,8 +158,10 @@ def stationary_solve(chain: WalkChain, method: str = "linear_solve",
     """
     n = chain.n
     if method == "linear_solve":
-        # p (P - I) = 0 with the normalization sum(p) = 1 replacing one equation
-        A = chain.matrix.T - np.eye(n + 1)
+        # p (P - I) = 0 with the normalization sum(p) = 1 replacing one
+        # equation; A = P^T - I is built in place to hold one dense matrix
+        A = chain.matrix.T
+        A[np.diag_indices(n + 1)] -= 1.0
         A[-1, :] = 1.0
         rhs = np.zeros(n + 1)
         rhs[-1] = 1.0

@@ -143,6 +143,19 @@ def test_jobs_default_from_environment(monkeypatch):
     assert args.jobs == 3
 
 
+def test_jobs_below_one_is_a_usage_error(monkeypatch, capsys):
+    argv = ["sweep", "--family", "sc", "--d", "2", "--T", "4"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--jobs", "0"])
+    assert exc.value.code == 2
+    monkeypatch.setenv(cli.JOBS_ENV, "0")
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+    assert len(errors) == 2 and all("--jobs" in l for l in errors)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--family", "nope", "--d", "2", "--T", "4"])
@@ -189,10 +202,16 @@ def test_emit_curve_contract():
     ["lowerbound", "--family", "sc", "--d", "5", "--T", "2"],
     ["lowerbound", "--family", "sc", "--d", "2", "--T", "4", "--out", "{missing}"],
     ["sweep", "--family", "sc", "--d", "128", "--T", "64"],
+    ["lowerbound", "--config", "{missing}", "--d", "2", "--T", "4"],
+    ["lowerbound", "--config", "{badcfg}", "--d", "2", "--T", "4"],
 ], ids=["walk-n0", "certify-samples0", "mc-T0", "mc-trials50", "mc-x0-outside",
-        "lowerbound-d-above-T", "out-missing-dir", "sweep-empty-grid"])
+        "lowerbound-d-above-T", "out-missing-dir", "sweep-empty-grid",
+        "config-missing", "config-line-without-equals"])
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
-    argv = [a.format(missing=tmp_path / "missing" / "x.json") for a in argv]
+    badcfg = tmp_path / "bad.cfg"
+    badcfg.write_text("family sc\n")
+    argv = [a.format(missing=tmp_path / "missing" / "x.json", badcfg=badcfg)
+            for a in argv]
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2

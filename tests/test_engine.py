@@ -49,6 +49,14 @@ def test_schedule_exact_values():
     assert eng.StepSchedule("inv_sqrt_horizon", horizon=16).eval(7) == 0.25
     assert eng.StepSchedule("inv_sqrt_t").eval(9) == 1.0 / 3.0
     assert eng.StepSchedule("constant", value=0.5).eval(123456) == 0.5
+    # the engine evaluates a run's step sizes once, as an array; it must
+    # match eval(t) bit for bit for every kind
+    T = 5000
+    for s in (eng.StepSchedule("inv_t"), eng.StepSchedule("inv_sqrt_t"),
+              eng.StepSchedule("inv_sqrt_horizon", horizon=T),
+              eng.StepSchedule("constant", value=0.3)):
+        sizes = s._sizes(np.arange(1, T + 1))
+        assert sizes.tolist() == [s.eval(t) for t in range(1, T + 1)], s.kind
 
 
 def test_schedule_range_and_validation():
@@ -135,6 +143,12 @@ def test_run_sgd_argument_errors():
     with pytest.raises(ValueError):
         eng.run_sgd(ZeroOracle(), eng.Ball(1.0, 2), eng.StepSchedule("inv_t"),
                     np.array([2.0, 0.0]), T=5)
+    with pytest.raises(ValueError):  # run_sgd records one path only
+        eng.run_sgd(ZeroOracle(), eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"),
+                    np.zeros((3, 1)), T=5)
+    with pytest.raises(ValueError):  # Ball projects single points only
+        list(eng.sgd_steps(ZeroOracle(), eng.Ball(1.0, 2), eng.StepSchedule("inv_t"),
+                           np.zeros((3, 2)), T=5))
 
     class NanOracle(ZeroOracle):
         def subgradient(self, x, t):

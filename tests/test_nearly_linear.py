@@ -35,6 +35,12 @@ def test_piecewise_shape_and_band_validation():
                                   knots=[-0.5, 0.5], slopes=[-0.4, -0.2, 0.2, 0.4])
     assert float(inst.f(0.0)) == 0.0
     assert float(inst.mean_grad(0.7)) == 0.4
+    # reference lookup: last knot <= x, clamped to the segments; knots exactly
+    # and points beyond both ends included
+    xs = np.concatenate([np.linspace(-1.5, 1.5, 301), inst.knots])
+    idx = np.clip(np.searchsorted(inst.knots, xs, side="right") - 1,
+                  0, inst.slopes.shape[0] - 1)
+    assert np.array_equal(inst.mean_grad(xs), inst.slopes[idx])
 
     with pytest.raises(ValueError):  # slope above eps*G
         nl.build_nearly_linear("piecewise", 2.0, 1.0, 0.4, band_ratio=0.5,
@@ -119,6 +125,23 @@ def test_single_vectorized_path_equals_engine_path():
     for trial in (0, 6, 9):
         trace = nl.path_via_engine(inst, 250, 0.5, seed=3, trial=trial)
         assert trace.final[0] == stats.final_x[trial]
+
+
+def test_batched_paths_cross_tiles_like_engine_paths():
+    # a horizon spanning several tiles of uniforms, batches of 7 trials; each
+    # path answers step t with the t-th uniform of its own (seed, trial) stream
+    inst = abs_instance()
+    T = 2 * nl.TILE + 37
+    stats = nl.simulate_paths(inst, T, 20, 0.5, seed=5, chunk=7)
+    for trial in (0, 6, 7, 13, 19):
+        trace = nl.path_via_engine(inst, T, 0.5, seed=5, trial=trial)
+        xs = trace.iterates[:, 0]
+        u = nl.trial_stream(5, trial).random(T)
+        assert np.array_equal(trace.gradients[:, 0],
+                              np.where(u < inst.plus_prob(xs[:-1]), 1.0, -1.0))
+        hits = np.flatnonzero(inst.f(xs) <= stats.threshold)
+        assert xs[-1] == stats.final_x[trial]
+        assert (hits[-1] if hits.size else -1) == stats.last_visit[trial]
 
 
 def test_start_at_minimum_hits_good_set_immediately():

@@ -26,5 +26,20 @@ from .nearly_linear import (GoodSet, NearlyLinearInstance, PathStats,
                             good_set, path_via_engine, simulate_paths,
                             tail_estimate)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Ball", "Interval", "SgdTrace", "StepSchedule", "run_sgd",
+    "running_average", "sgd_steps", "trace_to_csv",
+    "FAMILIES", "LIPSCHITZ_DECREASING", "LIPSCHITZ_FIXED", "STRONGLY_CONVEX",
+    "AdversarialInstance", "AdversarialOracle", "active_set", "build_instance",
+    "check_lipschitz", "check_strong_convexity", "closed_form_iterate",
+    "closed_form_trajectory", "dump_instance_csv", "eval_f",
+    "lower_bound_value", "run_on_instance", "subgradient_at",
+    "verify_trajectory",
+    "WalkChain", "chain_from_function", "make_chain", "simulate_chain_sgd",
+    "stationary_closed_form", "stationary_solve", "stationary_suboptimality",
+    "suboptimality_bound",
+    "GoodSet", "NearlyLinearInstance", "PathStats", "build_nearly_linear",
+    "expected_suboptimality", "good_set", "path_via_engine", "simulate_paths",
+    "tail_estimate",
+]
 __version__ = "0.1.0"

@@ -116,7 +116,10 @@ class Interval:
         return 1
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+        """Same result as ``np.clip(x, lo, hi)``, signed zeros included
+        (the bound goes first, so a tie keeps x), without np.clip's costly
+        Python wrapper."""
+        return np.minimum(self.hi, np.maximum(self.lo, np.asarray(x, dtype=float)))
 
     def contains(self, x, tol: float = 1e-12) -> bool:
         x = np.asarray(x, dtype=float)
@@ -172,10 +175,12 @@ def sgd_steps(oracle, feasible, schedule: StepSchedule, x1, T: int,
 
     yield 0, None, x
     for t, eta in enumerate(etas, start=1):
-        g = np.atleast_1d(np.asarray(oracle.subgradient(x, t), dtype=float))
+        g = np.asarray(oracle.subgradient(x, t), dtype=float)
+        if g.ndim == 0:
+            g = g.reshape(1)
         if g.shape != x.shape:
             raise ValueError(f"oracle returned shape {g.shape}, expected {x.shape}")
-        if not np.isfinite(g).all():
+        if np.count_nonzero(np.isfinite(g)) != g.size:  # skips ndarray.all's Python wrapper
             raise ValueError(f"oracle returned a non-finite subgradient at step {t}")
         x = feasible.project(x - eta * g)
         yield t, g, x

@@ -21,6 +21,7 @@ reproduces the batched path bit for bit (see tests).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -201,9 +202,36 @@ class PathStats:
 
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based stream for one trial, keyed by (seed, trial)."""
+    """Counter-based stream for one trial: Philox keyed by (seed, trial),
+    counter 0."""
     key = np.array([seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_philox_key_type()(key)))
+
+
+@functools.cache
+def _philox_key_type():
+    """Seed-sequence type whose instances hand Philox a given key, once.
+
+    ``Philox(PhiloxKey(key))`` asks it for two uint64 words, which become
+    the key, and starts at counter 0: the state of ``Philox(key=key)``,
+    without the SeedSequence that ``Philox(key=key)`` first builds from OS
+    entropy and then discards.  Every stream keeps its seed sequence alive,
+    so the key is dropped once handed over, to hold no array per stream.
+    The type is made on first use because its base class lives in
+    ``numpy.random``, which ``import numpy`` leaves unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        __slots__ = ("_key",)
+
+        def __init__(self, key: np.ndarray):
+            self._key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            key, self._key = self._key, None
+            return key
+
+    return PhiloxKey
 
 
 def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
@@ -263,7 +291,7 @@ class NearlyLinearOracle:
         self._streams = None
 
     def value(self, x) -> float:
-        return float(self.inst.f(float(np.asarray(x).reshape(-1)[0])))
+        return float(self.inst.f(float(np.asarray(x).item(0))))
 
     def subgradient(self, x, t: int) -> np.ndarray:
         if self._streams is None:

@@ -46,7 +46,10 @@ class WalkChain:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense (n+1, n+1) row-stochastic transition matrix, O(n^2) memory."""
+        """Dense (n+1, n+1) row-stochastic transition matrix, O(n^2) memory.
+
+        Built on demand for inspection and for the tests that check the
+        O(n) routes against it; no route in this module uses it."""
         sub, main, sup = _diagonals(self.left_probs)
         P, i = np.diag(main), np.arange(self.n)
         P[i + 1, i], P[i, i + 1] = sub, sup
@@ -151,22 +154,29 @@ def stationary_closed_form(chain: WalkChain) -> StationaryResult:
 def stationary_solve(chain: WalkChain, method: str = "linear_solve",
                      tol: float = 1e-12, max_iters: int = 10 ** 6,
                      ) -> StationaryResult:
-    """Stationary distribution by dense linear solve or power iteration.
+    """Stationary distribution by banded linear solve or power iteration.
 
-    Both are independent of the product closed form and agree with it to
-    ~1e-10 whenever the chain is irreducible and aperiodic.
+    ``linear_solve`` solves A p = 0 for the tridiagonal A = P^T - I by
+    Thomas elimination from the three diagonals, in O(n) time and memory
+    with no matrix built.  Neither route uses the product closed form, and
+    both agree with it to ~1e-10 whenever the chain is irreducible and
+    aperiodic.
     """
     n = chain.n
     if method == "linear_solve":
-        # p (P - I) = 0 with the normalization sum(p) = 1 replacing one
-        # equation; A = P^T - I is built in place to hold one dense matrix
-        A = chain.matrix.T
-        A[np.diag_indices(n + 1)] -= 1.0
-        A[-1, :] = 1.0
-        rhs = np.zeros(n + 1)
-        rhs[-1] = 1.0
-        p = np.linalg.solve(A, rhs)
-        p = np.maximum(p, 0.0)
+        # Eliminating rows n, n-1, ..., 1 of A leaves p_j = c_j p_{j-1}.  The
+        # last row to eliminate, row 0, is then redundant (A has rank n), so
+        # p_0 = 1 is fixed instead.  A is column diagonally dominant, so no
+        # pivoting is needed (the pivots are -a_j in exact arithmetic); c_j
+        # >= 0 and p_0 is the largest weight, so the products neither
+        # overflow nor go negative.
+        sub, main, sup = (v.tolist() for v in _diagonals(chain.left_probs))
+        c = [1.0] * (n + 1)
+        below = 0.0   # A[j, j+1] c_{j+1}, carried up from the row below
+        for j in range(n, 0, -1):
+            c[j] = -sup[j - 1] / (main[j] - 1.0 + below)
+            below = sub[j - 1] * c[j]
+        p = np.cumprod(c)
         p /= p.sum()
         return StationaryResult(p=p, method=method, residual=_residual(chain, p))
     if method == "power_iteration":
@@ -213,10 +223,10 @@ class GridSignOracle:
         self._rng = np.random.default_rng(seed)
 
     def value(self, x) -> float:
-        return float(self.f(float(np.asarray(x).reshape(-1)[0])))
+        return float(self.f(float(np.asarray(x).item(0))))
 
     def subgradient(self, x, t: int) -> np.ndarray:
-        i = int(round(float(np.asarray(x).reshape(-1)[0]) * self.chain.n))
+        i = int(round(float(np.asarray(x).item(0)) * self.chain.n))
         up = self._rng.random() < self.chain.left_probs[i]
         return np.array([1.0 if up else -1.0])
 

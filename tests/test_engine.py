@@ -108,6 +108,31 @@ def test_projection_is_nearest_point():
         assert np.linalg.norm(px) <= ball.radius * (1 + 1e-15)
 
 
+def _same_bits(a, b):
+    return (type(a) is type(b) and a.dtype == b.dtype
+            and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds=st.sampled_from([(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0),
+                               (-0.5, 0.5), (-3.25, -1.5)]),
+       xs=st.lists(st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1.0, 0.5, -0.5]),
+                             st.floats(-10, 10), st.just(np.inf), st.just(-np.inf),
+                             st.just(np.nan)), min_size=1, max_size=40))
+def test_interval_projection_equals_clip(bounds, xs):
+    # the projection must reproduce np.clip bit for bit, signed zeros and the
+    # endpoints included, on float, int and list inputs and on 0-d arrays
+    lo, hi = bounds
+    iv = eng.Interval(lo, hi)
+    x = np.array(xs)
+    cases = [x, xs, x.reshape(-1, 1), np.asarray(x[0]), np.array([lo, hi, -lo, -hi])]
+    if np.isfinite(x).all():
+        cases.append(np.rint(x).astype(np.int64))
+    for c in cases:
+        assert _same_bits(iv.project(c), np.clip(np.asarray(c, dtype=float), lo, hi))
+
+
 @settings(max_examples=50)
 @given(st.floats(-100, 100), st.floats(-5, 5), st.floats(0.1, 5))
 def test_interval_projection_idempotent(x, lo, width):
@@ -135,6 +160,16 @@ def test_projection_clamps_linear_descent():
     np.testing.assert_array_equal(tr.iterates[:, 0], [0.0, -0.5, -1.0, -1.0])
     np.testing.assert_array_equal(tr.values, [0.0, -0.5, -1.0, -1.0])
 
+    class ScalarOracle(LinearOracle):  # a plain float answers a d = 1 query
+        def subgradient(self, x, t):
+            return 1.0
+
+    sc = eng.run_sgd(ScalarOracle(), eng.Interval(-1.0, 1.0),
+                     eng.StepSchedule("constant", value=0.5),
+                     np.array([0.0]), T=3)
+    np.testing.assert_array_equal(sc.iterates, tr.iterates)
+    np.testing.assert_array_equal(sc.gradients, tr.gradients)
+
 
 def test_run_sgd_argument_errors():
     with pytest.raises(ValueError):
@@ -150,13 +185,20 @@ def test_run_sgd_argument_errors():
         list(eng.sgd_steps(ZeroOracle(), eng.Ball(1.0, 2), eng.StepSchedule("inv_t"),
                            np.zeros((3, 2)), T=5))
 
-    class NanOracle(ZeroOracle):
-        def subgradient(self, x, t):
-            return np.array([np.nan, 0.0])
+    class FixedOracle(ZeroOracle):
+        def __init__(self, answer):
+            self.answer = answer
 
-    with pytest.raises(ValueError):
-        eng.run_sgd(NanOracle(), eng.Ball(1.0, 2), eng.StepSchedule("inv_t"),
-                    np.zeros(2), T=5)
+        def subgradient(self, x, t):
+            return self.answer
+
+    # non-finite answers, a scalar or a wrong shape where two coordinates are due
+    for answer in (np.array([np.nan, 0.0]), np.array([0.0, np.inf]),
+                   np.array([-np.inf, 0.0]), 1.0, np.zeros(1), np.zeros(3),
+                   np.zeros((1, 2))):
+        with pytest.raises(ValueError):
+            eng.run_sgd(FixedOracle(answer), eng.Ball(1.0, 2),
+                        eng.StepSchedule("inv_t"), np.zeros(2), T=5)
 
 
 def test_stochastic_runs_are_seed_deterministic():
@@ -209,3 +251,17 @@ def test_trace_csv_format(tmp_path):
     # 17 significant digits round-trip binary64
     val = float(lines[2].split(",")[1])
     assert val == tr.iterates[1, 0]
+
+
+# ----------------------------------------------------------- package surface
+
+def test_star_import_exports_no_modules():
+    import types
+
+    import lastiter
+
+    namespace = {}
+    exec("from lastiter import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(lastiter.__all__)
+    assert not [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]

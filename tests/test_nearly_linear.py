@@ -109,6 +109,15 @@ def test_oracle_draws_are_bounded_and_unbiased():
 
 # --------------------------------------------------------------- simulation
 
+def test_trial_stream_is_the_keyed_philox_stream():
+    # the documented stream: Philox with key (seed, trial) at counter 0
+    for seed, trial in ((0, 0), (5, 13), (7, 2 ** 40), (2 ** 63, 32767)):
+        ref = np.random.Generator(np.random.Philox(
+            key=np.array([seed, trial], dtype=np.uint64)))
+        draws = nl.trial_stream(seed, trial).random(2 * nl.TILE + 3)
+        assert np.array_equal(draws, ref.random(2 * nl.TILE + 3))
+
+
 def test_paths_are_reproducible_and_chunk_independent():
     inst = abs_instance()
     a = nl.simulate_paths(inst, 100, 64, 0.5, seed=1, chunk=7)

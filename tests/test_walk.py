@@ -118,6 +118,41 @@ def test_solvers_agree_with_closed_form():
     assert ls.residual <= 1e-10 and pi.residual <= 1e-10
 
 
+def _dense_stationary(ch):
+    # reference: A = P^T - I from the dense matrix, with sum(p) = 1 in place
+    # of the last equation, by LAPACK's pivoted LU
+    A = ch.matrix.T - np.eye(ch.n + 1)
+    A[-1, :] = 1.0
+    rhs = np.zeros(ch.n + 1)
+    rhs[-1] = 1.0
+    return np.linalg.solve(A, rhs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_banded_solve_matches_dense_reference(n):
+    rng = np.random.default_rng(n)
+    k = n // 2   # a_k = 1 from here on: interior unless n = 1, where a_0 = 1
+    profiles = [np.sort(rng.uniform(0.5, 1.0, n + 1)) for _ in range(5)]
+    profiles += [np.full(n + 1, 0.5),
+                 np.concatenate((np.sort(rng.uniform(0.5, 1.0, k)), np.ones(n + 1 - k))),
+                 np.concatenate((np.sort(rng.uniform(0.5, 1.0, n)), [1.0]))]
+    for a in profiles:
+        ch = wk.make_chain(a)
+        ls = wk.stationary_solve(ch, "linear_solve")
+        np.testing.assert_allclose(ls.p, _dense_stationary(ch), rtol=0, atol=1e-12)
+        assert ls.residual <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["exp", "piecewise"])
+def test_banded_solve_at_n_1e5(name):
+    f, df = wk.profile(name)
+    ch = wk.chain_from_function(f, 10 ** 5, subgradient=df)
+    ls = wk.stationary_solve(ch, "linear_solve")
+    cf = wk.stationary_closed_form(ch)
+    assert np.max(np.abs(ls.p - cf.p)) <= 1e-10
+    assert ls.residual <= 1e-12
+
+
 def test_power_iteration_budget_error():
     ch = wk.make_chain([0.6, 0.7, 0.8, 0.9, 0.95])
     with pytest.raises(RuntimeError):
@@ -208,6 +243,27 @@ def test_simulated_walk_stays_on_grid_and_is_deterministic():
     assert np.array_equal(t1.iterates, t2.iterates)
     idx = t1.iterates[:, 0] * n
     np.testing.assert_allclose(idx, np.rint(idx), atol=1e-9)
+
+
+def test_simulated_walk_is_the_clipped_sign_loop():
+    # the engine run equals x <- clip(x - g/n, 0, 1) with g = +1 when the
+    # step's uniform from default_rng(seed) is below a_i, else -1, bit for bit
+    n, steps, seed = 100, 20_000, 1
+    f, df = wk.profile("linear", slope=0.5)
+    ch = wk.chain_from_function(f, n, subgradient=df)
+    trace = wk.simulate_chain_sgd(ch, f, steps=steps, seed=seed, start=1.0)
+
+    rng = np.random.default_rng(seed)
+    eta = 1.0 / n
+    xs, gs = [1.0], []
+    for _ in range(steps):
+        x = xs[-1]
+        g = 1.0 if rng.random() < ch.left_probs[round(x * n)] else -1.0
+        gs.append(g)
+        xs.append(float(np.clip(x - eta * g, 0.0, 1.0)))
+    assert np.array_equal(trace.iterates[:, 0], xs)
+    assert np.array_equal(trace.gradients[:, 0], gs)
+    assert np.array_equal(trace.values, [f(x) for x in xs])
 
 
 def test_long_run_suboptimality_near_stationary_small_n():

@@ -158,9 +158,9 @@ def cmd_mc(args) -> int:
     mean, se = nl.expected_suboptimality(stats)
     try:
         tail = nl.tail_estimate(stats, k_max=args.kmax)
-        tail_rows, rate = tail.to_rows(), tail.rate
+        tail_rows, rate, tail_status = tail.to_rows(), tail.rate, None
     except ValueError as exc:
-        tail_rows, rate = [], None
+        tail_rows, rate, tail_status = [], None, str(exc)
         sys.stderr.write(f"tail fit unavailable: {exc}\n")
     if args.format == "csv":
         header = ["trial", "final_x", "final_suboptimality", "last_visit_t", "hit_S"]
@@ -172,7 +172,10 @@ def cmd_mc(args) -> int:
         summary = {"shape": args.shape, "T": args.T, "trials": args.trials,
                    "seed": args.seed, "x0": x0, "mean": mean, "se": se,
                    "never_hit": stats.never_hit_count,
-                   "tail": tail_rows, "fitted_rate": rate}
+                   # P[+G] of 0 or 1 on a segment: the oracle is deterministic there
+                   "oracle_degenerate": bool(np.isin(inst.segment_probs, (0.0, 1.0)).any()),
+                   "tail": tail_rows, "fitted_rate": rate,
+                   "tail_fit_status": tail_status}
         _emit_json(summary, args.out)
     return 0
 

@@ -11,6 +11,12 @@ unbiased, and outside the good set
 the mean magnitude |s(x)| stays inside the band [c eps G, eps G], which is
 what "nearly linear" means here.  Paths use the fixed step eta = 4D/(G sqrt(T)).
 
+An instance finds the segment of a point with one helper,
+:meth:`NearlyLinearInstance.segment`, and holds one table of P[+G] per
+segment, ``segment_probs``; ``mean_grad``, ``plus_prob`` and the oracle
+read them.  The batched oracle answers with two table lookups and no
+data-dependent branch, since the test u < P[+G] is random.
+
 Paths run through the engine's one SGD kernel, :func:`engine.sgd_steps`,
 a chunk of trials at a time as one batch.  Every trial owns a counter-based
 Philox stream keyed by (seed, trial index), drawn ``TILE`` steps at a time,
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +59,13 @@ class NearlyLinearInstance:
     knots: np.ndarray    # (m+1,) breakpoints, endpoints included, 0 among them
     knot_values: np.ndarray  # (m+1,) f at the knots, f(0) = 0
     slopes: np.ndarray   # (m,) slope on each segment, nondecreasing
+    #: (m,) P[oracle answers +G] on each segment, (1 + slope/G)/2
+    segment_probs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        probs = 0.5 * (1.0 + self.slopes / self.grad_bound)
+        probs.setflags(write=False)
+        object.__setattr__(self, "segment_probs", probs)
 
     @property
     def lo(self) -> float:
@@ -66,16 +79,28 @@ class NearlyLinearInstance:
         """Objective value(s); exact for piecewise-linear f via interpolation."""
         return np.interp(np.asarray(x, dtype=float), self.knots, self.knot_values)
 
+    def segment(self, x):
+        """Index of the segment holding x: the count of interior knots <= x.
+
+        Equals ``searchsorted(knots[1:-1], x, side="right")`` for every
+        non-NaN x; points at or beyond either end of the domain fall in the
+        end segments.  One comparison per interior knot and element, so the
+        cost is linear in the knot count, with no data-dependent branch.
+        """
+        x = np.asarray(x, dtype=float)
+        seg = np.zeros(x.shape, dtype=np.intp)
+        for knot in self.knots[1:-1].tolist():  # floats compare faster than numpy scalars
+            seg += x >= knot
+        return seg
+
     def mean_grad(self, x):
         """Conditional mean of the oracle at x: the right-derivative slope
         (left derivative at the right endpoint)."""
-        # the count of interior knots <= x is the index of x's segment; points
-        # at or beyond either end of the domain fall in the end segments
-        return self.slopes[np.searchsorted(self.knots[1:-1], x, side="right")]
+        return self.slopes[self.segment(x)]
 
     def plus_prob(self, x):
         """P[oracle answers +G] at x."""
-        return 0.5 * (1.0 + self.mean_grad(x) / self.grad_bound)
+        return self.segment_probs[self.segment(x)]
 
 
 def build_nearly_linear(shape: str, diameter: float, grad_bound: float,
@@ -156,25 +181,36 @@ class GoodSet:
 
 
 def good_set(inst: NearlyLinearInstance, T: int) -> GoodSet:
-    """Sublevel interval at threshold G D / sqrt(T), endpoints by bisection."""
+    """Sublevel interval at threshold G D / sqrt(T).
+
+    f rises monotonically from f(0) = 0 along each branch, so each endpoint
+    is the domain end when f stays <= threshold there, and otherwise one
+    inverse interpolation on the segment where f crosses the threshold.  A
+    computed endpoint is moved toward 0 by the rounding excess of f there,
+    so f(left), f(right) <= threshold: the set stays closed.
+    """
     if T < 1:
         raise ValueError("T must be >= 1")
     theta = inst.grad_bound * inst.diameter / math.sqrt(T)
+    z = int(np.searchsorted(inst.knots, 0.0))  # knots[z] == 0
 
-    def cross(inside: float, outside: float) -> float:
-        # f(inside) <= theta < f(outside); bisect to 1e-12, keeping the f <= theta end
-        for _ in range(200):
-            if abs(outside - inside) <= 1e-12:
-                break
-            mid = 0.5 * (inside + outside)
-            if float(inst.f(mid)) <= theta:
-                inside = mid
-            else:
-                outside = mid
-        return inside
+    def end(knots, values, slopes) -> float:
+        # branch knots from 0 outward, f rising from 0; slopes[k] joins knots k, k+1
+        k = int(np.searchsorted(values, theta, side="right")) - 1  # last knot with f <= theta
+        if k == len(knots) - 1:
+            return float(knots[k])
+        x = float(knots[k] + (theta - values[k]) / slopes[k])
+        # np.interp rounds f(x) from the segment's left end, which on the
+        # left branch is the far knot; step toward 0 in doubling steps until
+        # f(x) <= theta (one step per halving of the excess)
+        step = float(np.spacing(abs(x)))
+        while inst.f(x) > theta:
+            x = math.copysign(max(abs(x) - step, 0.0), x)
+            step *= 2.0
+        return x
 
-    right = inst.hi if float(inst.f(inst.hi)) <= theta else cross(0.0, inst.hi)
-    left = inst.lo if float(inst.f(inst.lo)) <= theta else cross(0.0, inst.lo)
+    right = end(inst.knots[z:], inst.knot_values[z:], inst.slopes[z:])
+    left = end(inst.knots[z::-1], inst.knot_values[z::-1], inst.slopes[z - 1::-1])
     return GoodSet(left=left, right=right, threshold=theta)
 
 
@@ -260,7 +296,7 @@ def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
         last = last_visit[start:stop]  # a view: the loop fills last_visit
         for t, _, x in sgd_steps(oracle, Interval(inst.lo, inst.hi), schedule,
                                  np.full((stop - start, 1), float(x0)), T, seed):
-            last[inst.f(x[:, 0]) <= theta] = t
+            np.putmask(last, inst.f(x[:, 0]) <= theta, t)
         final_x[start:stop] = x[:, 0]
 
     return PathStats(
@@ -283,6 +319,7 @@ class NearlyLinearOracle:
     def __init__(self, inst: NearlyLinearInstance, trial=0):
         self.inst = inst
         self.trial = trial
+        self._answers = np.array([-inst.grad_bound, inst.grad_bound])
         self._seed = 0
         self._streams = None
 
@@ -303,10 +340,12 @@ class NearlyLinearOracle:
             for stream, row in zip(self._streams, self._tile):
                 stream.random(out=row)
             self._col = 0
-        u = self._tile[:, self._col].reshape(np.shape(x))
+        u = self._tile[:, self._col]
         self._col += 1
-        G = self.inst.grad_bound
-        return np.where(u < self.inst.plus_prob(x), G, -G)
+        # table lookups in place of a data-dependent select: u < p is random,
+        # so branching on it mispredicts about half the time
+        up = u < self.inst.segment_probs.take(self.inst.segment(x).reshape(-1))
+        return self._answers.take(up.view(np.int8)).reshape(np.shape(x))
 
 
 def _fixed_step(inst: NearlyLinearInstance, T: int) -> StepSchedule:

@@ -83,6 +83,24 @@ def test_mc_csv_and_json(tmp_path):
     assert isinstance(rep["tail"], list)
 
 
+@pytest.mark.parametrize("epsilon, degenerate, fitted", [
+    ("1", True, False), ("0.5", False, True)])
+def test_mc_flags_degenerate_oracle_and_tail_fit(tmp_path, epsilon, degenerate, fitted):
+    # at epsilon = 1, P[+G] is 0 or 1 on both segments: every trial follows one
+    # zigzag, so no tail can be fitted; at epsilon = 1/2 both fields stay quiet
+    out = tmp_path / "mc.json"
+    code = run(["mc", "--epsilon", epsilon, "--T", "400", "--trials", "2000",
+                "--out", str(out)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["oracle_degenerate"] is degenerate
+    if fitted:
+        assert rep["tail_fit_status"] is None and rep["fitted_rate"] < 0
+    else:
+        assert rep["tail_fit_status"].startswith("insufficient trials for a tail fit")
+        assert rep["fitted_rate"] is None and rep["tail"] == []
+
+
 def test_sweep_csv_curve_and_idempotence(tmp_path):
     out = tmp_path / "sweep.csv"
     curve = tmp_path / "curve.csv"

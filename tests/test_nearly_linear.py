@@ -11,6 +11,13 @@ def abs_instance(epsilon=0.5):
     return nl.build_nearly_linear("abs", 1.0, 1.0, epsilon)
 
 
+def multi_knot_instance():
+    # five interior knots (0 included), six segments on [-1, 1]
+    return nl.build_nearly_linear("piecewise", 2.0, 1.0, 0.4, band_ratio=0.5,
+                                  knots=[-0.6, -0.2, 0.3, 0.7],
+                                  slopes=[-0.4, -0.3, -0.2, 0.2, 0.3, 0.4])
+
+
 # ------------------------------------------------------------------ building
 
 def test_abs_instance_values_and_means():
@@ -41,6 +48,19 @@ def test_piecewise_shape_and_band_validation():
     idx = np.clip(np.searchsorted(inst.knots, xs, side="right") - 1,
                   0, inst.slopes.shape[0] - 1)
     assert np.array_equal(inst.mean_grad(xs), inst.slopes[idx])
+    # the segment helper is the searchsorted index over the interior knots:
+    # at every knot and its neighbouring floats, at +/-0.0 and beyond both ends
+    for case in (abs_instance(), nl.build_nearly_linear("asym_abs", 1.0, 1.0, 0.5,
+                                                        band_ratio=0.5),
+                 inst, multi_knot_instance()):
+        ks = case.knots
+        xs = np.concatenate([ks, np.nextafter(ks, -np.inf), np.nextafter(ks, np.inf),
+                             [0.0, -0.0, case.lo - 1.0, case.hi + 1.0, -np.inf, np.inf],
+                             np.linspace(case.lo - 0.5, case.hi + 0.5, 101)])
+        ref = np.searchsorted(ks[1:-1], xs, side="right")
+        assert np.array_equal(case.segment(xs), ref)
+        assert np.array_equal(case.segment(xs.reshape(-1, 1)), ref.reshape(-1, 1))
+        assert all(case.segment(x) == r for x, r in zip(xs, ref))
 
     with pytest.raises(ValueError):  # slope above eps*G
         nl.build_nearly_linear("piecewise", 2.0, 1.0, 0.4, band_ratio=0.5,
@@ -138,19 +158,23 @@ def test_single_vectorized_path_equals_engine_path():
 
 def test_batched_paths_cross_tiles_like_engine_paths():
     # a horizon spanning several tiles of uniforms, batches of 7 trials; each
-    # path answers step t with the t-th uniform of its own (seed, trial) stream
-    inst = abs_instance()
+    # path answers step t with the t-th uniform of its own (seed, trial) stream,
+    # on one interior knot and on five
     T = 2 * nl.TILE + 37
-    stats = nl.simulate_paths(inst, T, 20, 0.5, seed=5, chunk=7)
-    for trial in (0, 6, 7, 13, 19):
-        trace = nl.path_via_engine(inst, T, 0.5, seed=5, trial=trial)
-        xs = trace.iterates[:, 0]
-        u = nl.trial_stream(5, trial).random(T)
-        assert np.array_equal(trace.gradients[:, 0],
-                              np.where(u < inst.plus_prob(xs[:-1]), 1.0, -1.0))
-        hits = np.flatnonzero(inst.f(xs) <= stats.threshold)
-        assert xs[-1] == stats.final_x[trial]
-        assert (hits[-1] if hits.size else -1) == stats.last_visit[trial]
+    for inst in (abs_instance(), multi_knot_instance()):
+        G = inst.grad_bound
+        stats = nl.simulate_paths(inst, T, 20, 0.5, seed=5, chunk=7)
+        for trial in (0, 6, 7, 13, 19):
+            trace = nl.path_via_engine(inst, T, 0.5, seed=5, trial=trial)
+            xs = trace.iterates[:, 0]
+            u = nl.trial_stream(5, trial).random(T)
+            assert np.array_equal(trace.gradients[:, 0],
+                                  np.where(u < inst.plus_prob(xs[:-1]), G, -G))
+            hits = np.flatnonzero(inst.f(xs) <= stats.threshold)
+            assert xs[-1] == stats.final_x[trial]
+            assert (hits[-1] if hits.size else -1) == stats.last_visit[trial]
+        # the last path alone visits every segment of the instance
+        assert set(inst.segment(xs).tolist()) == set(range(inst.slopes.size))
 
 
 def test_start_at_minimum_hits_good_set_immediately():

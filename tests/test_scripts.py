@@ -1,0 +1,40 @@
+"""Smoke tests: each script under scripts/ exits 0 on a tiny input and
+writes output that reads back."""
+
+import csv
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_mc_scaling_study_writes_rows(tmp_path):
+    out = tmp_path / "mc.json"
+    proc = run_script("mc_scaling_study.py", "--trials", "200",
+                      "--horizons", "100,400", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(out.read_text())
+    assert rep["trials"] == 200 and rep["epsilon"] == 0.5
+    assert [row["T"] for row in rep["rows"]] == [100, 400]
+    assert all(row["mean"] > 0 and row["never_hit"] >= 0 for row in rep["rows"])
+
+
+def test_bound_vs_dimension_writes_curves(tmp_path):
+    proc = run_script("bound_vs_dimension.py", "--T", "64", "--dims", "1,2,4",
+                      "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    for family in ("sc", "lip-dec", "lip-fixed"):
+        with open(tmp_path / f"curve_{family}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["d"]) for row in rows] == [1, 2, 4]
+        assert all(float(row["final_suboptimality"]) > float(row["bound"])
+                   for row in rows)
+        with open(tmp_path / f"sweep_{family}.csv", newline="") as fh:
+            assert all(row["pass"] == "True" for row in csv.DictReader(fh))

@@ -14,9 +14,9 @@ from .constructions import (FAMILIES, LIPSCHITZ_DECREASING, LIPSCHITZ_FIXED,
                             STRONGLY_CONVEX, AdversarialInstance,
                             AdversarialOracle, active_set, build_instance,
                             check_lipschitz, check_strong_convexity,
-                            closed_form_iterate, closed_form_trajectory,
-                            dump_instance_csv, eval_f, lower_bound_value,
-                            run_on_instance, subgradient_at, verify_trajectory)
+                            closed_form_iterate, dump_instance_csv, eval_f,
+                            lower_bound_value, run_on_instance, subgradient_at,
+                            verify_instance, verify_trajectory)
 from .walk import (WalkChain, chain_from_function, make_chain,
                    simulate_chain_sgd, stationary_closed_form,
                    stationary_solve, stationary_suboptimality,
@@ -32,9 +32,8 @@ __all__ = [
     "FAMILIES", "LIPSCHITZ_DECREASING", "LIPSCHITZ_FIXED", "STRONGLY_CONVEX",
     "AdversarialInstance", "AdversarialOracle", "active_set", "build_instance",
     "check_lipschitz", "check_strong_convexity", "closed_form_iterate",
-    "closed_form_trajectory", "dump_instance_csv", "eval_f",
-    "lower_bound_value", "run_on_instance", "subgradient_at",
-    "verify_trajectory",
+    "dump_instance_csv", "eval_f", "lower_bound_value", "run_on_instance",
+    "subgradient_at", "verify_instance", "verify_trajectory",
     "WalkChain", "chain_from_function", "make_chain", "simulate_chain_sgd",
     "stationary_closed_form", "stationary_solve", "stationary_suboptimality",
     "suboptimality_bound",

@@ -71,9 +71,7 @@ def _closed_form_record(family: str, d: int, T: int) -> dict:
 
 def _verify_point(job) -> dict:
     family, d, T, tol, seed = job
-    inst = cons.build_instance(family, d, T)
-    trace = cons.run_on_instance(inst, seed=seed)
-    rep = cons.verify_trajectory(inst, trace, tol=tol)
+    rep = cons.verify_instance(cons.build_instance(family, d, T), tol=tol, seed=seed)
     return {**rep.to_dict(), "ratio": rep.final_value / rep.bound,
             "pass": rep.passed and cons.beats_bound(rep.final_value, rep.bound, d)}
 
@@ -182,12 +180,8 @@ def cmd_mc(args) -> int:
 
 def cmd_sweep(args) -> int:
     families = list(cons.FAMILIES) if args.family == "all" else [args.family]
-    jobs = []
-    for family in families:
-        for d in args.d:
-            for T in args.T:
-                if d <= T:
-                    jobs.append((family, d, T, args.tol, args.seed))
+    jobs = [(family, d, T, args.tol, args.seed)
+            for family in families for d in args.d for T in args.T if d <= T]
     if not jobs:
         raise ValueError("sweep grid is empty (no (d, T) pair with d <= T)")
     if args.jobs > 1:
@@ -204,8 +198,8 @@ def cmd_sweep(args) -> int:
         _emit_csv(chead, crows, args.curve_out)
     bad = [r for r in results if not r["pass"]]
     if bad:
-        return _fail([{k: r[k] for k in ("family", "d", "T", "max_deviation", "pass")}
-                      for r in bad])
+        keys = ("family", "d", "T", "max_deviation", "first_mismatch", "divergences", "pass")
+        return _fail([{k: r[k] for k in keys} for r in bad])
     return 0
 
 

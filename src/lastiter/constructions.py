@@ -27,6 +27,9 @@ schedule:
 
 For d = 1 the harmonic sum degenerates and the fallback bounds are 1/(4T)
 and 1/(32 sqrt(T)) respectively.
+
+Verification streams the engine's iterates against the closed form row by
+row (``verify_instance``, memory O(T + d)) or checks a recorded trace.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Ball, SgdTrace, StepSchedule, run_sgd
+from .engine import Ball, SgdTrace, StepSchedule, run_sgd, sgd_steps
 
 STRONGLY_CONVEX = "sc"
 LIPSCHITZ_DECREASING = "lip-dec"
@@ -204,26 +207,8 @@ class AdversarialOracle:
 
 
 def _closed_form_rows(inst: AdversarialInstance, ts):
-    """Support z_{t,1..t-q-1} of the predicted iterate for each step t in ts,
-    every t >= q+2 with q = T-d; the lip-dec prefix sum is computed once."""
-    q = inst.quiet_steps
-    if inst.family == LIPSCHITZ_DECREASING:
-        # prefix[m] = sum_{k=1}^m 1/sqrt(k), prefix[0] = 0
-        prefix = np.concatenate(([0.0], np.cumsum(1.0 / np.sqrt(np.arange(1, inst.T + 1)))))
-    for t in ts:
-        m = t - q                      # support is coordinates 1..m-1
-        a, b = inst.shared_slopes[:m - 1], inst.depths[:m - 1]
-        jj = np.arange(1, m, dtype=float)
-        if inst.family == STRONGLY_CONVEX:
-            yield (1.0 - (t - q - jj - 1.0) * a) / (t - 1.0)
-        elif inst.family == LIPSCHITZ_FIXED:
-            yield (b - a * (t - jj - q - 1.0)) / np.sqrt(inst.T)
-        else:
-            yield b / np.sqrt(jj + q) - a * (prefix[t - 1] - prefix[np.arange(1, m) + q])
-
-
-def closed_form_trajectory(inst: AdversarialInstance) -> np.ndarray:
-    """All predicted iterates z_1..z_{T+1} as a (T+1, d) array.
+    """Predicted iterate z_t, all d coordinates, for each step t in ts, every
+    t in 1..T+1; the lip-dec prefix sum is computed once per call.
 
     z_t = 0 for t <= T-d+1.  For later t, with q = T-d, coordinate j is
     nonzero exactly when j < t-q:
@@ -232,22 +217,29 @@ def closed_form_trajectory(inst: AdversarialInstance) -> np.ndarray:
       lip-dec:   z_{t,j} = b_j/sqrt(j+q) - a_j * sum_{k=j+q+1}^{t-1} 1/sqrt(k)
       lip-fixed: z_{t,j} = (b_j - a_j (t-j-q-1)) / sqrt(T)
     """
-    z = np.zeros((inst.T + 1, inst.d))
-    ts = range(inst.quiet_steps + 2, inst.T + 2)
-    for t, row in zip(ts, _closed_form_rows(inst, ts)):
-        z[t - 1, :row.size] = row
-    return z
+    q = inst.quiet_steps
+    if inst.family == LIPSCHITZ_DECREASING:
+        # prefix[m] = sum_{k=1}^m 1/sqrt(k), prefix[0] = 0
+        prefix = np.concatenate(([0.0], np.cumsum(1.0 / np.sqrt(np.arange(1, inst.T + 1)))))
+    for t in ts:
+        z = np.zeros(inst.d)
+        m = t - q - 1                  # support is coordinates 1..m
+        if m > 0:
+            j, a, b = np.arange(1.0, m + 1), inst.shared_slopes[:m], inst.depths[:m]
+            if inst.family == STRONGLY_CONVEX:
+                z[:m] = (1.0 - (t - q - j - 1.0) * a) / (t - 1.0)
+            elif inst.family == LIPSCHITZ_FIXED:
+                z[:m] = (b - a * (t - j - q - 1.0)) / np.sqrt(inst.T)
+            else:
+                z[:m] = b / np.sqrt(j + q) - a * (prefix[t - 1] - prefix[q + 1:q + m + 1])
+        yield z
 
 
 def closed_form_iterate(inst: AdversarialInstance, t: int) -> np.ndarray:
-    """Predicted iterate z_t for one step t in 1..T+1: bit for bit z_t of the
-    trajectory, without building it."""
+    """Predicted iterate z_t for one step t in 1..T+1."""
     if not 1 <= t <= inst.T + 1:
         raise ValueError(f"t={t} out of range 1..{inst.T + 1}")
-    z = np.zeros(inst.d)
-    if t > inst.quiet_steps + 1:
-        z[:t - inst.quiet_steps - 1] = next(_closed_form_rows(inst, [t]))
-    return z
+    return next(_closed_form_rows(inst, [t]))
 
 
 def lower_bound_value(family: str, d: int, T: int) -> float:
@@ -281,7 +273,7 @@ def run_on_instance(inst: AdversarialInstance, seed: int = 0) -> SgdTrace:
 
 @dataclass
 class VerifyReport:
-    """Outcome of checking an engine trace against the closed form."""
+    """Outcome of checking an engine run against the closed form."""
 
     family: str
     d: int
@@ -292,35 +284,52 @@ class VerifyReport:
     bound: float
     tol: float
     passed: bool
+    divergences: list | None  # the oracle's (t, expected, got); None for a trace
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family, "d": self.d, "T": self.T,
-            "max_deviation": self.max_deviation,
-            "first_mismatch": self.first_mismatch,
-            "final_value": self.final_value, "bound": self.bound,
-            "tol": self.tol, "pass": self.passed,
-        }
+        rec, drift = dict(vars(self)), self.divergences
+        rec["pass"] = rec.pop("passed")
+        if drift is not None:
+            rec["divergences"] = {"count": len(drift), "first": [list(e) for e in drift[:3]]}
+        return rec
 
 
-def verify_trajectory(inst: AdversarialInstance, trace: SgdTrace,
-                      tol: float = 1e-9) -> VerifyReport:
-    """Max-norm comparison of a trace against the closed-form trajectory."""
-    z = closed_form_trajectory(inst)
-    if trace.iterates.shape != z.shape:
-        raise ValueError(
-            f"trace shape {trace.iterates.shape} does not match expected {z.shape}")
-    dev = np.max(np.abs(trace.iterates - z), axis=1)
-    max_dev = float(dev.max())
+def _compare(inst: AdversarialInstance, iterates, tol: float, oracle=None) -> VerifyReport:
+    """Max-norm comparison of x_1..x_{T+1} with the closed form row by row,
+    keeping only the T+1 row deviations and the oracle's divergences."""
+    dev = np.empty(inst.T + 1)
+    rows = _closed_form_rows(inst, range(1, inst.T + 2))
+    for n, (x, z) in enumerate(zip(iterates, rows, strict=True)):
+        dev[n] = np.abs(x - z).max()
     bad = np.flatnonzero(dev > tol)
     first = int(bad[0]) + 1 if bad.size else None
     return VerifyReport(
         family=inst.family, d=inst.d, T=inst.T,
-        max_deviation=max_dev, first_mismatch=first,
-        final_value=float(trace.values[-1]),
+        max_deviation=float(dev.max()), first_mismatch=first,
+        final_value=eval_f(inst, x),
         bound=lower_bound_value(inst.family, inst.d, inst.T),
         tol=tol, passed=first is None,
+        divergences=None if oracle is None else oracle.divergences,
     )
+
+
+def verify_trajectory(inst: AdversarialInstance, trace: SgdTrace,
+                      tol: float = 1e-9) -> VerifyReport:
+    """Check a recorded trace against the closed form; it has no divergences."""
+    want = (inst.T + 1, inst.d)
+    if trace.iterates.shape != want:
+        raise ValueError(f"trace shape {trace.iterates.shape} does not match expected {want}")
+    return _compare(inst, trace.iterates, tol)
+
+
+def verify_instance(inst: AdversarialInstance, tol: float = 1e-9,
+                    seed: int = 0) -> VerifyReport:
+    """Run the engine as :func:`run_on_instance` does and check each iterate
+    as it is produced: no history, f only at the final iterate, memory
+    O(T + d).  The report carries the oracle's divergences."""
+    oracle = AdversarialOracle(inst)
+    steps = sgd_steps(oracle, inst.feasible(), inst.schedule(), np.zeros(inst.d), inst.T, seed)
+    return _compare(inst, (x for _, _, x in steps), tol, oracle)
 
 
 def sample_ball(rng: np.random.Generator, count: int, dim: int,
@@ -346,12 +355,8 @@ class CertificateReport:
     witness: tuple | None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "constant": self.constant,
-            "samples": self.samples, "seed": self.seed,
-            "worst": self.worst, "worst_ratio": self.worst_ratio,
-            "pass": self.passed,
-        }
+        rec = {k: v for k, v in vars(self).items() if k not in ("passed", "witness")}
+        return {**rec, "pass": self.passed}
 
 
 def check_lipschitz(inst: AdversarialInstance, L: float | None = None,

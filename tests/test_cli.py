@@ -22,6 +22,23 @@ def test_verify_json_report(tmp_path):
     assert rep["final_value"] > rep["bound"]
 
 
+def test_verify_json_reports_oracle_drift(tmp_path):
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--family", "sc", "--d", "8", "--T", "64",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["divergences"] == {"count": 0, "first": []}
+
+
+def test_sweep_failure_report_carries_mismatch_and_drift(tmp_path, capsys):
+    # a negative tolerance fails every row at its first iterate
+    code = run(["sweep", "--family", "sc", "--d", "2", "--T", "4", "--tol", "-1",
+                "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    (row,) = json.loads(capsys.readouterr().err)["failures"]
+    assert row["first_mismatch"] == 1 and row["pass"] is False
+    assert row["divergences"] == {"count": 0, "first": []}
+
+
 def test_lowerbound_csv(tmp_path):
     out = tmp_path / "lb.csv"
     code = run(["lowerbound", "--family", "sc", "--d", "2", "--T", "4",

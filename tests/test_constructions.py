@@ -1,8 +1,10 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lastiter.constructions as cons
@@ -76,8 +78,8 @@ def test_structured_pieces_match_dense_table(family, d):
         h[i, i - 1] = -inst.depths[i - 1]
     h[d + 1] = inst.shared_slopes
     np.testing.assert_array_equal(inst.piece_grads, h)
-    X = np.vstack([cons.sample_ball(np.random.default_rng(d), 200, d),
-                   cons.closed_form_trajectory(inst)])
+    X = np.vstack([cons.sample_ball(np.random.default_rng(d), 200, d)]
+                  + [cons.closed_form_iterate(inst, t) for t in range(1, inst.T + 2)])
     dense = X @ h.T
     if inst.quadratic:
         dense += 0.5 * np.sum(X * X, axis=1)[:, None]
@@ -187,11 +189,12 @@ def test_closed_form_hand_values():
 
 @pytest.mark.parametrize("family", cons.FAMILIES)
 def test_closed_form_iterate_is_trajectory_row(family):
+    # one generator pass (lip-dec prefix sum computed once) equals per-t calls
     for d, T in GRID:
         inst = cons.build_instance(family, d, T)
-        z = cons.closed_form_trajectory(inst)
-        for t in range(1, T + 2):
-            assert np.array_equal(cons.closed_form_iterate(inst, t), z[t - 1])
+        ts = range(1, T + 2)
+        for t, row in zip(ts, cons._closed_form_rows(inst, ts), strict=True):
+            assert np.array_equal(cons.closed_form_iterate(inst, t), row)
 
 
 def test_closed_form_range():
@@ -236,10 +239,47 @@ def test_verify_trajectory_length_mismatch():
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(cons.FAMILIES), st.integers(1, 12), st.integers(0, 36))
+@example("sc", 1, 0)
+@example("lip-dec", 1, 0)
+@example("lip-fixed", 1, 0)
+@example("sc", 5, 0)
+@example("lip-dec", 5, 0)
+@example("lip-fixed", 5, 0)
 def test_engine_matches_closed_form(family, d, extra):
     inst = cons.build_instance(family, d, d + extra)
     rep = cons.verify_trajectory(inst, cons.run_on_instance(inst), tol=1e-9)
     assert rep.passed, (family, d, d + extra, rep.max_deviation)
+    # the streaming route reports the same fields, bit for bit, plus the drift log
+    live = dataclasses.asdict(cons.verify_instance(inst, tol=1e-9))
+    recorded = dataclasses.asdict(rep)
+    assert recorded.pop("divergences") is None and live.pop("divergences") == []
+    assert live == recorded
+
+
+def test_verify_report_cuts_divergences_to_three():
+    drift = [(t, t - 10, t - 9) for t in range(11, 16)]
+    rep = cons.VerifyReport(family="sc", d=8, T=16, max_deviation=0.0,
+                            first_mismatch=None, final_value=0.1, bound=0.05,
+                            tol=1e-9, passed=True, divergences=drift)
+    assert rep.to_dict()["divergences"] == {
+        "count": 5, "first": [[11, 1, 2], [12, 2, 3], [13, 3, 4]]}
+    inst = cons.build_instance("sc", 2, 4)
+    recorded = cons.verify_trajectory(inst, cons.run_on_instance(inst))
+    assert recorded.to_dict()["divergences"] is None
+
+
+def test_verify_instance_memory_is_o_of_d():
+    # no (T+1, d) history: the peak stays under a tenth of one such array
+    inst = cons.build_instance("lip-dec", 500, 10_000)
+    one_history = (inst.T + 1) * inst.d * 8
+    tracemalloc.start()
+    try:
+        rep = cons.verify_instance(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.divergences == []
+    assert peak < one_history / 10, peak
 
 
 # ------------------------------------------------------------- certificates
@@ -278,9 +318,8 @@ def test_trajectory_invariants_over_grid(family):
     for d, T in GRID:
         inst = cons.build_instance(family, d, T)
         q = inst.quiet_steps
-        z = cons.closed_form_trajectory(inst)
         for t in range(q + 2, T + 2):
-            row = z[t - 1]
+            row = cons.closed_form_iterate(inst, t)
             m = t - q
             support, off = row[:m - 1], row[m - 1:]
             assert np.all(off == 0.0)

@@ -3,6 +3,7 @@ writes output that reads back."""
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,8 @@ def test_bound_vs_dimension_writes_curves(tmp_path):
                    for row in rows)
         with open(tmp_path / f"sweep_{family}.csv", newline="") as fh:
             assert all(row["pass"] == "True" for row in csv.DictReader(fh))
+    slopes = json.loads((tmp_path / "slopes.json").read_text())
+    assert slopes["T"] == 64
+    for family in ("sc", "lip-dec", "lip-fixed"):
+        slope = slopes["families"][family]["slope"]
+        assert math.isfinite(slope) and slope > 0

@@ -316,6 +316,8 @@ def _inject_config(argv: list[str]) -> list[str]:
     while i < len(argv):
         tok = argv[i]
         if tok == "--config":
+            if i + 1 == len(argv):
+                raise ValueError("--config needs a file path")
             cfg = argv[i + 1]
             i += 2
         elif tok.startswith("--config="):

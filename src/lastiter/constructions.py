@@ -296,7 +296,10 @@ class VerifyReport:
 
 def _compare(inst: AdversarialInstance, iterates, tol: float, oracle=None) -> VerifyReport:
     """Max-norm comparison of x_1..x_{T+1} with the closed form row by row,
-    keeping only the T+1 row deviations and the oracle's divergences."""
+    keeping only the T+1 row deviations and the oracle's divergences.  A NaN
+    ``tol`` is rejected: no deviation compares above it, so every run would pass."""
+    if np.isnan(tol):
+        raise ValueError("tol must not be NaN")
     dev = np.empty(inst.T + 1)
     rows = _closed_form_rows(inst, range(1, inst.T + 2))
     for n, (x, z) in enumerate(zip(iterates, rows, strict=True)):

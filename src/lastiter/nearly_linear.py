@@ -10,6 +10,10 @@ unbiased, and outside the good set
 
 the mean magnitude |s(x)| stays inside the band [c eps G, eps G], which is
 what "nearly linear" means here.  Paths use the fixed step eta = 4D/(G sqrt(T)).
+:func:`good_set` returns S as the exact float interval on which the computed
+f is at most the threshold, and :meth:`GoodSet.contains` is the one
+membership rule: two comparisons, equal to ``f(x) <= threshold`` at every
+float of the domain.
 
 An instance finds the segment of a point with one helper,
 :meth:`NearlyLinearInstance.segment`, and holds one table of P[+G] per
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,21 +178,55 @@ def build_nearly_linear(shape: str, diameter: float, grad_bound: float,
 
 @dataclass(frozen=True)
 class GoodSet:
-    """Endpoints of { x : f(x) <= threshold }, an interval by convexity."""
+    """The floats x of the domain with computed ``f(x) <= threshold``: the
+    closed interval [left, right], both ends exact (see :func:`good_set`)."""
 
     left: float
     right: float
     threshold: float
 
+    def contains(self, x):
+        """Membership of x in the good set, elementwise.
+
+        Equals ``inst.f(x) <= threshold`` for every float x in the domain of
+        the instance the set was built from (for the one rounding caveat see
+        :func:`good_set`): the one membership rule."""
+        return (x >= self.left) & (x <= self.right)
+
+
+_DOUBLE = struct.Struct("<d")
+_INT64 = struct.Struct("<q")
+
+
+def _ordinal(a: float) -> int:
+    """Position of a float a >= 0 in the ordered floats (+0.0 is 0)."""
+    return _INT64.unpack(_DOUBLE.pack(a))[0]
+
+
+def _from_ordinal(n: int) -> float:
+    return _DOUBLE.unpack(_INT64.pack(n))[0]
+
 
 def good_set(inst: NearlyLinearInstance, T: int) -> GoodSet:
-    """Sublevel interval at threshold G D / sqrt(T).
+    """Sublevel interval at threshold G D / sqrt(T), exact in floats.
 
-    f rises monotonically from f(0) = 0 along each branch, so each endpoint
-    is the domain end when f stays <= threshold there, and otherwise one
-    inverse interpolation on the segment where f crosses the threshold.  A
-    computed endpoint is moved toward 0 by the rounding excess of f there,
-    so f(left), f(right) <= threshold: the set stays closed.
+    ``np.interp`` computes f on a segment as ``s * (x - x_k) + f_k``, which
+    is monotone in x, and gives the knot values exactly at the knots.  Along
+    each branch from 0 the knot values rise, so the floats with computed
+    ``f <= threshold`` end on the segment whose inner knot is the last one
+    at or below the threshold (or at the domain end), and each endpoint is
+    the last float of that segment, counted from 0, with ``f <= threshold``.
+    It is found from the inverse interpolation by doubling steps and then
+    bisection over the float ordinals of |x|, never a float at a time:
+    rounding in f near a far knot can span 10^14 floats on the left branch.
+    The next float outward leaves the domain or has ``f > threshold``.
+
+    At an interior knot np.interp switches segments, and its rounding can
+    put the float next to the knot an ulp out of order with the knot value
+    (1 of 21000 knots of random piecewise instances).  Only a threshold
+    within that ulp of such a knot value would make the floats with
+    ``f <= threshold`` no interval; the tests check that this does not
+    happen on the instances and horizons they use.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -199,15 +238,32 @@ def good_set(inst: NearlyLinearInstance, T: int) -> GoodSet:
         k = int(np.searchsorted(values, theta, side="right")) - 1  # last knot with f <= theta
         if k == len(knots) - 1:
             return float(knots[k])
-        x = float(knots[k] + (theta - values[k]) / slopes[k])
-        # np.interp rounds f(x) from the segment's left end, which on the
-        # left branch is the far knot; step toward 0 in doubling steps until
-        # f(x) <= theta (one step per halving of the excess)
-        step = float(np.spacing(abs(x)))
-        while inst.f(x) > theta:
-            x = math.copysign(max(abs(x) - step, 0.0), x)
-            step *= 2.0
-        return x
+        sign = math.copysign(1.0, knots[k + 1])
+
+        def inside(n: int) -> bool:
+            return inst.f(sign * _from_ordinal(n)) <= theta
+
+        # invariant: inside(lo) and not inside(hi), ordinals of |x|
+        lo, hi = _ordinal(abs(knots[k])), _ordinal(abs(knots[k + 1]))
+        guess = _ordinal(abs(knots[k] + (theta - values[k]) / slopes[k]))
+        n, step = min(max(guess, lo), hi), 1
+        if inside(n):
+            lo = n
+            while lo + step < hi and inside(lo + step):
+                lo, step = lo + step, 2 * step
+            hi = min(lo + step, hi)
+        else:
+            hi = n
+            while hi - step > lo and not inside(hi - step):
+                hi, step = hi - step, 2 * step
+            lo = max(hi - step, lo)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if inside(mid):
+                lo = mid
+            else:
+                hi = mid
+        return sign * _from_ordinal(lo)
 
     right = end(inst.knots[z:], inst.knot_values[z:], inst.slopes[z:])
     left = end(inst.knots[z::-1], inst.knot_values[z::-1], inst.slopes[z - 1::-1])
@@ -279,14 +335,15 @@ def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
     a batched :class:`NearlyLinearOracle`; only the current iterates, the
     last visit times and one tile of uniforms per trial are held, so memory
     is O(chunk x TILE).  Trial r gives the same path as
-    ``path_via_engine(inst, T, x0, seed, trial=r)``.
+    ``path_via_engine(inst, T, x0, seed, trial=r)``.  Visits are decided by
+    ``good_set(inst, T).contains``, which agrees with ``f(x) <= threshold``.
     """
     if T < 1 or trials < 1:
         raise ValueError("T and trials must be >= 1")
     if not inst.lo <= x0 <= inst.hi:
         raise ValueError("x0 outside the domain")
     schedule = _fixed_step(inst, T)
-    theta = inst.grad_bound * inst.diameter / math.sqrt(T)
+    gs = good_set(inst, T)
 
     final_x = np.empty(trials)
     last_visit = np.full(trials, -1, dtype=np.int64)
@@ -296,12 +353,12 @@ def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
         last = last_visit[start:stop]  # a view: the loop fills last_visit
         for t, _, x in sgd_steps(oracle, Interval(inst.lo, inst.hi), schedule,
                                  np.full((stop - start, 1), float(x0)), T, seed):
-            np.putmask(last, inst.f(x[:, 0]) <= theta, t)
+            np.putmask(last, gs.contains(x[:, 0]), t)
         final_x[start:stop] = x[:, 0]
 
     return PathStats(
         T=T, trials=trials, x0=float(x0), seed=seed, step=schedule.value,
-        threshold=theta, final_x=final_x, final_subopt=np.asarray(inst.f(final_x)),
+        threshold=gs.threshold, final_x=final_x, final_subopt=np.asarray(inst.f(final_x)),
         last_visit=last_visit)
 
 

@@ -19,9 +19,10 @@ test_nearly_linear.py::test_degenerate_oracle_at_epsilon_one records these
 properties.
 
 At epsilon = 1/2 the points +/-0.1 lie exactly on the boundary of S, and the
-closed-set test f(x) <= theta in simulate_paths decides their membership
-after rounding: an iterate that lands on 0.09999999999999998 is inside, one
-that lands on -0.10000000000000003 is outside.
+membership test GoodSet.contains in simulate_paths, which equals the
+closed-set test f(x) <= theta, decides their membership after rounding: an
+iterate that lands on 0.09999999999999998 is inside, one that lands on
+-0.10000000000000003 is outside.
 """
 
 import math

@@ -239,9 +239,13 @@ def test_emit_curve_contract():
     ["sweep", "--family", "sc", "--d", "128", "--T", "64"],
     ["lowerbound", "--config", "{missing}", "--d", "2", "--T", "4"],
     ["lowerbound", "--config", "{badcfg}", "--d", "2", "--T", "4"],
+    ["lowerbound", "--family", "sc", "--d", "2", "--T", "4", "--config"],
+    ["verify", "--family", "sc", "--d", "2", "--T", "4", "--tol", "nan"],
+    ["sweep", "--family", "sc", "--d", "2", "--T", "4", "--tol", "nan"],
 ], ids=["walk-n0", "certify-samples0", "mc-T0", "mc-trials50", "mc-x0-outside",
         "lowerbound-d-above-T", "out-missing-dir", "sweep-empty-grid",
-        "config-missing", "config-line-without-equals"])
+        "config-missing", "config-line-without-equals", "config-without-path",
+        "verify-tol-nan", "sweep-tol-nan"])
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     badcfg = tmp_path / "bad.cfg"
     badcfg.write_text("family sc\n")

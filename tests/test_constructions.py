@@ -237,6 +237,20 @@ def test_verify_trajectory_length_mismatch():
         cons.verify_trajectory(inst, trace)
 
 
+def test_verify_rejects_nan_tolerance():
+    # no deviation compares above NaN, so a NaN tolerance would pass any run;
+    # a negative one still fails at the first iterate
+    inst = cons.build_instance("sc", 2, 4)
+    trace = cons.run_on_instance(inst)
+    with pytest.raises(ValueError, match="NaN"):
+        cons.verify_trajectory(inst, trace, tol=math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        cons.verify_instance(inst, tol=math.nan)
+    for rep in (cons.verify_trajectory(inst, trace, tol=-1.0),
+                cons.verify_instance(inst, tol=-1.0)):
+        assert not rep.passed and rep.first_mismatch == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(cons.FAMILIES), st.integers(1, 12), st.integers(0, 36))
 @example("sc", 1, 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lastiter import nearly_linear as nl
+from lastiter.engine import Interval, StepSchedule, sgd_steps
 from lastiter import walk as wk
 
 
@@ -103,6 +104,47 @@ def test_good_set_interval_for_steep_slopes():
     assert gs.right == pytest.approx(0.1, abs=1e-9)
 
 
+GOOD_SET_HORIZONS = list(range(1, 3000)) + [10 ** e for e in range(4, 31, 2)]
+
+
+def test_good_set_endpoints_are_exact(monkeypatch):
+    # each endpoint is the last float, counted from 0, with computed
+    # f <= threshold, and contains() is the test f(x) <= threshold at the
+    # points where either could change value: knots, endpoints, their
+    # neighbouring floats, +/-0.0 and the domain ends
+    calls = []
+    f = nl.NearlyLinearInstance.f
+
+    def counted_f(self, x):
+        # doubling plus bisection over 63-bit ordinals needs at most 2 x 127
+        # calls for two endpoints; a float-by-float walk needs ~10^14 at
+        # abs eps 1, T = 10^30, so it fails here instead of running on
+        calls.append(1)
+        assert len(calls) <= 256, "good_set walks the floats"
+        return f(self, x)
+
+    for inst in (abs_instance(0.1), abs_instance(0.5), abs_instance(1.0),
+                 nl.build_nearly_linear("asym_abs", 1.0, 1.0, 0.5, band_ratio=0.5),
+                 multi_knot_instance(), nl.build_nearly_linear("abs", 2.0, 3.0, 0.5)):
+        for T in GOOD_SET_HORIZONS:
+            with monkeypatch.context() as m:
+                m.setattr(nl.NearlyLinearInstance, "f", counted_f)
+                calls.clear()
+                gs = nl.good_set(inst, T)
+            theta = gs.threshold
+            assert theta == inst.grad_bound * inst.diameter / math.sqrt(T)
+            for end, outward in ((gs.left, -math.inf), (gs.right, math.inf)):
+                assert inst.f(end) <= theta, (inst.shape, T, end)
+                beyond = math.nextafter(end, outward)
+                assert not inst.lo <= beyond <= inst.hi or inst.f(beyond) > theta, (
+                    inst.shape, T, end)
+            ends = np.array([gs.left, gs.right, 0.0, -0.0, inst.lo, inst.hi])
+            xs = np.concatenate([inst.knots, ends])
+            xs = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)])
+            xs = xs[(xs >= inst.lo) & (xs <= inst.hi)]
+            assert np.array_equal(gs.contains(xs), inst.f(xs) <= theta), (inst.shape, T)
+
+
 def test_good_set_shrinks_with_horizon():
     inst = abs_instance()
     widths = [nl.good_set(inst, T).right - nl.good_set(inst, T).left
@@ -175,6 +217,40 @@ def test_batched_paths_cross_tiles_like_engine_paths():
             assert (hits[-1] if hits.size else -1) == stats.last_visit[trial]
         # the last path alone visits every segment of the instance
         assert set(inst.segment(xs).tolist()) == set(range(inst.slopes.size))
+
+
+def reference_paths(inst, T, trials, x0, seed, chunk):
+    """The batched loop with membership tested as f(x) <= theta."""
+    theta = inst.grad_bound * inst.diameter / math.sqrt(T)
+    eta = 4.0 * inst.diameter / (inst.grad_bound * math.sqrt(T))
+    schedule = StepSchedule("constant", value=eta)
+    final_x = np.empty(trials)
+    last_visit = np.full(trials, -1, dtype=np.int64)
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
+        oracle = nl.NearlyLinearOracle(inst, trial=np.arange(start, stop))
+        for t, _, x in sgd_steps(oracle, Interval(inst.lo, inst.hi), schedule,
+                                 np.full((stop - start, 1), float(x0)), T, seed):
+            last_visit[start:stop][inst.f(x[:, 0]) <= theta] = t
+        final_x[start:stop] = x[:, 0]
+    return final_x, last_visit
+
+
+@pytest.mark.parametrize("inst, T, x0, chunk", [
+    (abs_instance(0.5), 400, 0.5, 2048), (multi_knot_instance(), 2500, 0.7, 300)],
+    ids=["abs-boundary", "piecewise-split-chunk"])
+def test_paths_match_membership_by_f(inst, T, x0, chunk):
+    # at abs eps 1/2, T = 400 the lattice points +/-0.1 lie on the boundary
+    # f = theta, where rounding in x - eta*g decides membership; on the
+    # piecewise instance theta = 0.04 is the knot value f(-0.2), paths end
+    # one float outside either endpoint, and the chunk of 300 splits the
+    # 1000 trials
+    final_x, last_visit = reference_paths(inst, T, 1000, x0, seed=4, chunk=chunk)
+    stats = nl.simulate_paths(inst, T, 1000, x0, seed=4, chunk=chunk)
+    assert np.array_equal(stats.final_x, final_x)
+    assert np.array_equal(stats.last_visit, last_visit)
+    gs = nl.good_set(inst, T)
+    assert np.any(np.minimum(np.abs(final_x - gs.left), np.abs(final_x - gs.right)) < 1e-12)
 
 
 def test_start_at_minimum_hits_good_set_immediately():

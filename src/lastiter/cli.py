@@ -5,7 +5,8 @@ Subcommands: lowerbound, verify, certify, walk, mc, sweep.  Common flags:
 key=value config file can be passed with --config; explicit flags override
 file values.  The default worker count honors the LASTITER_JOBS environment
 variable.  Exit status: 0 when every embedded check passes, 1 with a
-machine-readable failure report on stderr otherwise, 2 for usage errors.
+machine-readable failure report on stderr otherwise, 2 for usage errors
+(an input too large to fit in memory is one).
 """
 
 from __future__ import annotations
@@ -339,6 +340,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
+    except MemoryError as exc:
+        # numpy's message says what it could not allocate; a bare one is empty
+        parser.error(str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

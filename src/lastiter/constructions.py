@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Ball, SgdTrace, StepSchedule, run_sgd, sgd_steps
+from .engine import Ball, SgdTrace, StepSchedule, euclidean_norm, run_sgd, sgd_steps
 
 STRONGLY_CONVEX = "sc"
 LIPSCHITZ_DECREASING = "lip-dec"
@@ -86,7 +86,7 @@ class AdversarialInstance:
     @property
     def piece_grads(self) -> np.ndarray:
         """Dense read-only (d+2, d) table of h_0..h_{d+1}, built on demand."""
-        h = _piece_grad(self, np.arange(self.d + 2), 0.0)
+        h = np.array([_piece_row(self, i) for i in range(self.d + 2)])
         h.setflags(write=False)
         return h
 
@@ -102,12 +102,23 @@ class AdversarialInstance:
         return Ball(radius=1.0, dim=self.d)
 
 
-def _piece_grad(inst: AdversarialInstance, i, x) -> np.ndarray:
-    """Gradient of piece i at x: a_j for j < i, -b_i at j = i, zero beyond, plus
-    x in the strongly convex family; an index array gives one row per index."""
-    j, i = np.arange(1, inst.d + 1), np.asarray(i)[..., None]
-    g = np.where(j < i, inst.shared_slopes, np.where(j == i, -inst.depths, 0.0))
-    return g + x if inst.quadratic else g
+def _piece_row(inst: AdversarialInstance, i: int) -> np.ndarray:
+    """Row h_i of the staircase, built from slices: a_j for j < i, -b_i at
+    j = i, zero beyond."""
+    h = np.zeros(inst.d)
+    m = max(i - 1, 0)
+    h[:m] = inst.shared_slopes[:m]
+    if 1 <= i <= inst.d:
+        h[m] = -inst.depths[m]
+    return h
+
+
+def _piece_grad(inst: AdversarialInstance, i: int, x: np.ndarray) -> np.ndarray:
+    """Gradient of piece i at x: h_i, plus x in the strongly convex family."""
+    g = _piece_row(inst, i)
+    if inst.quadratic:
+        g += x
+    return g
 
 
 def build_instance(family: str, d: int, T: int) -> AdversarialInstance:
@@ -135,22 +146,29 @@ def build_instance(family: str, d: int, T: int) -> AdversarialInstance:
 def piece_values(inst: AdversarialInstance, x: np.ndarray) -> np.ndarray:
     """Values of all d+2 pieces at x, a single point or an (n, d) batch, in
     O(d) per point: with S_k = sum_{j<=k} a_j x_j and S_0 = 0, piece 0 is 0,
-    piece i in 1..d is S_{i-1} - b_i x_i and piece d+1 is S_d."""
+    piece i in 1..d is S_{i-1} - b_i x_i and piece d+1 is S_d.
+
+    One output buffer holds everything: columns 1..d+1 get [0, a_1 x_1, ...,
+    a_d x_d] and an in-place cumulative sum turns them into S_0..S_d.  The
+    sum starts from S_0 = +0.0, so an all -0.0 prefix gives S_k = +0.0."""
     x = np.asarray(x, dtype=float)
-    zero = np.zeros_like(x[..., :1])
-    S = np.cumsum(np.concatenate((zero, inst.shared_slopes * x), axis=-1), axis=-1)
-    vals = np.concatenate((zero, S[..., :-1] - inst.depths * x, S[..., -1:]), axis=-1)
+    vals = np.empty(x.shape[:-1] + (inst.d + 2,))
+    vals[..., :2] = 0.0
+    np.multiply(inst.shared_slopes, x, out=vals[..., 2:])
+    S = vals[..., 1:]
+    np.add.accumulate(S, axis=-1, out=S)   # np.cumsum without its Python wrapper
+    vals[..., 1:-1] -= inst.depths * x
     if inst.quadratic:
-        vals += 0.5 * np.sum(x * x, axis=-1, keepdims=True)
+        vals += (0.5 * np.add.reduce(x * x, axis=-1))[..., None]
     return vals
 
 
 def eval_f(inst: AdversarialInstance, x) -> float:
     """f(x) = max over pieces; defined on the unit ball only."""
     x = np.asarray(x, dtype=float)
-    if float(np.linalg.norm(x)) > 1.0 + 1e-9:
+    if euclidean_norm(x) > 1.0 + 1e-9:
         raise ValueError("x lies outside the unit ball")
-    return float(np.max(piece_values(inst, x)))
+    return float(piece_values(inst, x).max())
 
 
 def active_set(inst: AdversarialInstance, x, tol: float = ACTIVE_TOL) -> np.ndarray:
@@ -163,7 +181,7 @@ def subgradient_at(inst: AdversarialInstance, x) -> np.ndarray:
     """A canonical subgradient at x: the lowest active piece's gradient
     (plus x for the strongly convex family).  Valid at every point of the
     ball, including where only the base piece is active."""
-    return _piece_grad(inst, active_set(inst, x)[0], np.asarray(x, dtype=float))
+    return _piece_grad(inst, int(active_set(inst, x)[0]), np.asarray(x, dtype=float))
 
 
 class AdversarialOracle:
@@ -193,13 +211,13 @@ class AdversarialOracle:
             raise ValueError(f"step index {t} out of range 1..{inst.T}")
         if t <= inst.quiet_steps:
             return np.zeros(inst.d)
-        act = active_set(inst, x)
-        act = act[act > 0]
-        if act.size == 0:
+        vals = piece_values(inst, x)
+        active = vals[1:] >= vals.max() - ACTIVE_TOL
+        i = int(active.argmax()) + 1        # the first active piece above the base one
+        if not active[i - 1]:
             raise RuntimeError(
                 f"no active piece above the base one at step {t}; "
                 "the trajectory left the analyzed region")
-        i = int(act[0])
         expected = t - inst.quiet_steps
         if i != expected:
             self.divergences.append((t, expected, i))
@@ -335,13 +353,22 @@ def verify_instance(inst: AdversarialInstance, tol: float = 1e-9,
     return _compare(inst, (x for _, _, x in steps), tol, oracle)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=1) for a real (n, d) array, bit for bit: the
+    same reduction over v*v, without the wrapper and its conj() copy."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
 def sample_ball(rng: np.random.Generator, count: int, dim: int,
                 radius: float = 1.0) -> np.ndarray:
-    """Uniform samples from the ball: normalized Gaussian scaled by U^(1/dim)."""
+    """Uniform samples from the ball: normalized Gaussian scaled by U^(1/dim),
+    in place."""
     g = rng.standard_normal((count, dim))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g /= _row_norms(g)[:, None]
     r = rng.random(count) ** (1.0 / dim)
-    return radius * g * r[:, None]
+    g *= radius
+    g *= r[:, None]
+    return g
 
 
 @dataclass
@@ -379,10 +406,11 @@ def check_lipschitz(inst: AdversarialInstance, L: float | None = None,
     X = sample_ball(rng, samples, inst.d)
     Y = sample_ball(rng, samples, inst.d)
 
+    # ordered so that at most two (n, d)-sized arrays live beside X and Y
+    dist = _row_norms(X - Y)
+    fy = piece_values(inst, Y).max(axis=1)
     vx = piece_values(inst, X)
-    vy = piece_values(inst, Y)
-    fx, fy = vx.max(axis=1), vy.max(axis=1)
-    dist = np.linalg.norm(X - Y, axis=1)
+    fx = vx.max(axis=1)
     gap = np.abs(fx - fy) - L * dist
     worst_idx = int(np.argmax(gap))
     worst = float(gap[worst_idx])
@@ -393,9 +421,16 @@ def check_lipschitz(inst: AdversarialInstance, L: float | None = None,
     act = vx >= fx[:, None] - ACTIVE_TOL
     c = np.cumsum(np.concatenate(([0.0], inst.shared_slopes ** 2)))
     row_sq = np.concatenate(([0.0], c[:-1] + inst.depths ** 2, c[-1:]))
-    # ||h_i + x||^2 = ||h_i||^2 + 2 (h_i.x + ||x||^2/2), and the bracket is vx
-    norms_sq = row_sq + 2.0 * vx if inst.quadratic else row_sq
-    gnorm = float(np.sqrt(np.max(np.where(act, norms_sq, 0.0))))
+    if inst.quadratic:
+        # ||h_i + x||^2 = ||h_i||^2 + 2 (h_i.x + ||x||^2/2), and the bracket is vx
+        vx *= 2.0
+        vx += row_sq
+        np.copyto(vx, 0.0, where=~act)
+        gnorm = float(np.sqrt(vx.max()))
+    else:
+        # every row_sq is >= +0.0, so the max over active columns is the max
+        # over active entries
+        gnorm = float(np.sqrt(row_sq[act.any(axis=0)].max()))
 
     passed = worst <= slack_tol and gnorm <= L + slack_tol
     witness = None
@@ -420,13 +455,19 @@ def check_strong_convexity(inst: AdversarialInstance, alpha: float = 1.0,
     X = sample_ball(rng, samples, inst.d)
     Y = sample_ball(rng, samples, inst.d)
 
+    fy = piece_values(inst, Y).max(axis=1)
     vx = piece_values(inst, X)
     fx = vx.max(axis=1)
-    fy = piece_values(inst, Y).max(axis=1)
     first_active = np.argmax(vx >= fx[:, None] - ACTIVE_TOL, axis=1)
-    G = _piece_grad(inst, first_active, X)
+    del vx   # free the (n, d+2) values before G takes (n, d)
+    # at most d+2 distinct pieces: build each row once, then gather
+    rows, which = np.unique(first_active, return_inverse=True)
+    G = np.array([_piece_row(inst, int(i)) for i in rows])[which]
+    G += X
     diff = Y - X
-    slack = fy - fx - np.sum(G * diff, axis=1) - 0.5 * alpha * np.sum(diff * diff, axis=1)
+    G *= diff
+    diff *= diff
+    slack = fy - fx - np.add.reduce(G, axis=1) - 0.5 * alpha * np.add.reduce(diff, axis=1)
     worst_idx = int(np.argmin(slack))
     worst = float(slack[worst_idx])
     passed = worst >= -slack_tol

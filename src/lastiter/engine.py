@@ -21,6 +21,7 @@ produce bit-identical traces even for stochastic oracles.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,13 @@ class StepSchedule:
         return np.full(t.shape, float(self.value))
 
 
+def euclidean_norm(x) -> float:
+    """float(np.linalg.norm(x)) for real x, bit for bit (the square root of
+    the dot product of the flattened array), without norm's Python wrapper."""
+    x = np.asarray(x, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 @dataclass(frozen=True)
 class Ball:
     """Euclidean ball of a given radius centered at the origin."""
@@ -91,13 +99,13 @@ class Ball:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ValueError(f"Ball projects single points, got shape {x.shape}")
-        nrm = float(np.linalg.norm(x))
+        nrm = euclidean_norm(x)
         if nrm <= self.radius:
             return x.copy()
         return x * (self.radius / nrm)
 
     def contains(self, x, tol: float = 1e-12) -> bool:
-        return float(np.linalg.norm(x)) <= self.radius + tol
+        return euclidean_norm(x) <= self.radius + tol
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,172 @@
+"""The one-buffer staircase kernel, the dot-product norms and the in-place
+certificate sampling against the straightforward formulas they replaced.
+
+The references below are those formulas, kept here only.  Every comparison
+is on raw bits (``view(np.uint64)``), so a flipped sign of zero or a NaN in a
+different place fails as loudly as any other difference."""
+
+import numpy as np
+import pytest
+
+import lastiter.constructions as cons
+from lastiter.engine import Ball
+
+DIMS = [1, 2, 8, 257]
+
+
+def ref_piece_values(inst, x):
+    x = np.asarray(x, dtype=float)
+    zero = np.zeros_like(x[..., :1])
+    S = np.cumsum(np.concatenate((zero, inst.shared_slopes * x), axis=-1), axis=-1)
+    vals = np.concatenate((zero, S[..., :-1] - inst.depths * x, S[..., -1:]), axis=-1)
+    if inst.quadratic:
+        vals += 0.5 * np.sum(x * x, axis=-1, keepdims=True)
+    return vals
+
+
+def ref_piece_grad(inst, i, x):
+    j, i = np.arange(1, inst.d + 1), np.asarray(i)[..., None]
+    g = np.where(j < i, inst.shared_slopes, np.where(j == i, -inst.depths, 0.0))
+    return g + x if inst.quadratic else g
+
+
+def ref_sample_ball(rng, count, dim, radius=1.0):
+    g = rng.standard_normal((count, dim))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    r = rng.random(count) ** (1.0 / dim)
+    return radius * g * r[:, None]
+
+
+def ref_project(ball, x):
+    x = np.asarray(x, dtype=float)
+    nrm = float(np.linalg.norm(x))
+    if nrm <= ball.radius:
+        return x.copy()
+    return x * (ball.radius / nrm)
+
+
+def ref_lipschitz(inst, L, samples, seed, slack_tol=1e-12):
+    """(worst, worst_ratio, passed, witness) of the sampled Lipschitz check."""
+    rng = np.random.default_rng(seed)
+    X = ref_sample_ball(rng, samples, inst.d)
+    Y = ref_sample_ball(rng, samples, inst.d)
+    vx, vy = ref_piece_values(inst, X), ref_piece_values(inst, Y)
+    fx, fy = vx.max(axis=1), vy.max(axis=1)
+    dist = np.linalg.norm(X - Y, axis=1)
+    gap = np.abs(fx - fy) - L * dist
+    k = int(np.argmax(gap))
+    nz = dist > 0
+    ratio = float(np.max(np.abs(fx - fy)[nz] / (L * dist[nz]))) if nz.any() else 0.0
+    act = vx >= fx[:, None] - cons.ACTIVE_TOL
+    c = np.cumsum(np.concatenate(([0.0], inst.shared_slopes ** 2)))
+    row_sq = np.concatenate(([0.0], c[:-1] + inst.depths ** 2, c[-1:]))
+    norms_sq = row_sq + 2.0 * vx if inst.quadratic else row_sq
+    gnorm = float(np.sqrt(np.max(np.where(act, norms_sq, 0.0))))
+    passed = gap[k] <= slack_tol and gnorm <= L + slack_tol
+    return max(float(gap[k]), gnorm - L), ratio, passed, None if passed else (X[k], Y[k])
+
+
+def ref_strong_convexity(inst, alpha, samples, seed, slack_tol=1e-12):
+    """(worst, worst_ratio, passed, witness) of the sampled strong-convexity check."""
+    rng = np.random.default_rng(seed)
+    X = ref_sample_ball(rng, samples, inst.d)
+    Y = ref_sample_ball(rng, samples, inst.d)
+    vx = ref_piece_values(inst, X)
+    fx, fy = vx.max(axis=1), ref_piece_values(inst, Y).max(axis=1)
+    G = ref_piece_grad(inst, np.argmax(vx >= fx[:, None] - cons.ACTIVE_TOL, axis=1), X)
+    diff = Y - X
+    slack = fy - fx - np.sum(G * diff, axis=1) - 0.5 * alpha * np.sum(diff * diff, axis=1)
+    k = int(np.argmin(slack))
+    passed = slack[k] >= -slack_tol
+    return float(slack[k]), float("nan"), passed, None if passed else (X[k], Y[k])
+
+
+def assert_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def points(d, seed):
+    """Single points and rows of a batch: samples, the origin as +0.0 and
+    -0.0, a sample with -0.0 at random coordinates, and a boundary point."""
+    rng = np.random.default_rng(seed)
+    X = cons.sample_ball(rng, 40, d)
+    mixed = np.where(rng.random(d) < 0.5, -0.0, X[0])
+    edge = np.where(rng.random(d) < 0.5, -0.0, X[1] / np.linalg.norm(X[1]))
+    return np.vstack([X, np.zeros(d), np.full(d, -0.0), mixed, edge])
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+@pytest.mark.parametrize("d", DIMS)
+def test_piece_values_and_f_match_reference(family, d):
+    inst = cons.build_instance(family, d, 2 * d)
+    X = points(d, d)
+    assert_bits(cons.piece_values(inst, X), ref_piece_values(inst, X))
+    assert_bits(cons.piece_values(inst, X[-4:]), ref_piece_values(inst, X[-4:]))
+    for x in X:
+        want = ref_piece_values(inst, x)
+        assert_bits(cons.piece_values(inst, x), want)
+        assert_bits(cons.eval_f(inst, x), float(np.max(want)))
+    # the -0.0 points stay distinguishable: the check sees signs of zero
+    assert np.signbit(X[-3]).all() and not np.signbit(X[-4]).any()
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+@pytest.mark.parametrize("d", DIMS)
+def test_kicked_rows_match_reference(family, d):
+    inst = cons.build_instance(family, d, 2 * d)
+    for x in points(d, d + 1)[-4:]:
+        for i in sorted({0, 1, d, d + 1}):
+            assert_bits(cons._piece_grad(inst, i, x), ref_piece_grad(inst, i, x))
+        assert_bits(cons.subgradient_at(inst, x),
+                    ref_piece_grad(inst, int(cons.active_set(inst, x)[0]), x))
+    assert_bits(inst.piece_grads, ref_piece_grad(inst, np.arange(d + 2), 0.0))
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.7])
+@pytest.mark.parametrize("d", DIMS)
+def test_sample_ball_matches_reference(d, radius):
+    got = cons.sample_ball(np.random.default_rng(d), 300, d, radius)
+    assert_bits(got, ref_sample_ball(np.random.default_rng(d), 300, d, radius))
+
+
+def test_ball_matches_norm_reference():
+    rng = np.random.default_rng(3)
+    for d in DIMS:
+        ball = Ball(radius=0.7, dim=d)
+        X = np.vstack([points(d, d)[-4:], 3.0 * cons.sample_ball(rng, 40, d)])
+        for x in X:
+            assert_bits(ball.project(x), ref_project(ball, x))
+            assert ball.contains(x) == (float(np.linalg.norm(x)) <= 0.7 + 1e-12)
+        # strided views and a (B, d) batch go through the same flattening
+        strided = np.repeat(X, 2, axis=1)[:, ::2]
+        for x in strided:
+            assert_bits(ball.project(x), ref_project(ball, x))
+        assert ball.contains(X[:4]) == (float(np.linalg.norm(X[:4])) <= 0.7 + 1e-12)
+
+
+def assert_report(rep, ref):
+    worst, ratio, passed, witness = ref
+    assert_bits(rep.worst, worst)
+    assert_bits(rep.worst_ratio, ratio)   # NaN for strong convexity: bits compare
+    assert rep.passed == passed
+    if witness is None:
+        assert rep.witness is None
+    else:
+        for got, want in zip(rep.witness, witness, strict=True):
+            assert_bits(got, want)
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+def test_certificate_reports_match_reference(family):
+    inst = cons.build_instance(family, 64, 256)
+    # at 3 samples few pieces are active, so the gradient-norm bound, which
+    # sets worst at L = 0.1, sees only some of the pieces
+    for L, seed, n in ((inst.lipschitz_constant, 0, 2000), (0.1, 1, 2000), (0.1, 2, 3)):
+        assert_report(cons.check_lipschitz(inst, L=L, samples=n, seed=seed),
+                      ref_lipschitz(inst, L, n, seed))
+    if inst.quadratic:
+        for alpha, seed in ((1.0, 0), (3.0, 1)):
+            rep = cons.check_strong_convexity(inst, alpha=alpha, samples=2000, seed=seed)
+            assert_report(rep, ref_strong_convexity(inst, alpha, 2000, seed))

@@ -191,6 +191,25 @@ def test_jobs_below_one_is_a_usage_error(monkeypatch, capsys):
     assert len(errors) == 2 and all("--jobs" in l for l in errors)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--family", "sc", "--d", "2", "--T", "4"], "Unable to allocate 7.28 TiB"),
+    (["sweep", "--family", "sc", "--d", "2", "--T", "4,8"], "Unable to allocate 7.28 TiB"),
+    (["sweep", "--family", "sc", "--d", "2", "--T", "4,8", "--jobs", "2"], ""),
+], ids=["verify", "sweep", "sweep-jobs2"])
+def test_out_of_memory_is_a_usage_error(argv, message, monkeypatch, capsys):
+    # no real allocation: the verifier raises what numpy raises for a huge T
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.cons, "verify_instance", no_memory)
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", "-"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"lastiter: error: {message or 'out of memory'}"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--family", "nope", "--d", "2", "--T", "4"])

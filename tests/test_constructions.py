@@ -296,6 +296,21 @@ def test_verify_instance_memory_is_o_of_d():
     assert peak < one_history / 10, peak
 
 
+@pytest.mark.parametrize("family", cons.FAMILIES)
+def test_piece_values_batch_memory_is_one_buffer(family):
+    # the (n, d+2) output plus one (n, d) temporary at a time; building the
+    # prefix sums and the values in separate arrays would take 3 outputs
+    inst = cons.build_instance(family, 256, 256)
+    X = cons.sample_ball(np.random.default_rng(0), 10_000, inst.d)
+    tracemalloc.start()
+    try:
+        vals = cons.piece_values(inst, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * vals.nbytes, peak / vals.nbytes
+
+
 # ------------------------------------------------------------- certificates
 
 def test_certificates_pass_at_stated_constants():

@@ -163,11 +163,16 @@ def piece_values(inst: AdversarialInstance, x: np.ndarray) -> np.ndarray:
     return vals
 
 
+#: how far past the unit ball f may still be evaluated (rounding slack)
+_BALL_SLACK = 1.0 + 1e-9
+_OUTSIDE_BALL = "x lies outside the unit ball"
+
+
 def eval_f(inst: AdversarialInstance, x) -> float:
     """f(x) = max over pieces; defined on the unit ball only."""
     x = np.asarray(x, dtype=float)
-    if euclidean_norm(x) > 1.0 + 1e-9:
-        raise ValueError("x lies outside the unit ball")
+    if euclidean_norm(x) > _BALL_SLACK:
+        raise ValueError(_OUTSIDE_BALL)
     return float(piece_values(inst, x).max())
 
 
@@ -202,8 +207,13 @@ class AdversarialOracle:
         # deterministic oracle; only clear the drift log for a fresh run
         self.divergences = []
 
-    def value(self, x) -> float:
-        return eval_f(self.inst, x)
+    def value(self, X) -> np.ndarray:
+        """f at each row of a (k, d) block, which must lie in the unit ball
+        (the rule of :func:`eval_f`)."""
+        X = np.asarray(X, dtype=float)
+        if np.count_nonzero(_row_norms(X) > _BALL_SLACK):
+            raise ValueError(_OUTSIDE_BALL)
+        return piece_values(self.inst, X).max(axis=-1)
 
     def subgradient(self, x, t: int) -> np.ndarray:
         inst = self.inst

@@ -384,8 +384,9 @@ class NearlyLinearOracle:
         self._seed = seed
         self._streams = None
 
-    def value(self, x) -> float:
-        return float(self.inst.f(float(np.asarray(x).item(0))))
+    def value(self, X) -> np.ndarray:
+        """f at each row of a (k, 1) block."""
+        return self.inst.f(np.asarray(X)[:, 0])
 
     def subgradient(self, x, t: int) -> np.ndarray:
         if self._streams is None:

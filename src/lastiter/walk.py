@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import Interval, SgdTrace, StepSchedule, run_sgd
+from .nearly_linear import TILE
 
 #: coefficient of the stationary suboptimality bound (2 + 24e)/n
 BOUND_COEFF = 2.0 + 24.0 * math.e
@@ -212,23 +213,40 @@ def suboptimality_bound(n: int) -> float:
 # simulation through the SGD engine (the chain is fixed-step SGD in disguise)
 
 class GridSignOracle:
-    """Restricted oracle answering +/-1; P[+1] at grid point i/n is a_i."""
+    """Restricted oracle answering +/-1; P[+1] at grid point i/n is a_i.
+
+    The uniforms come from ``default_rng(seed)`` ``TILE`` at a time, the
+    same doubles as one ``random()`` call per step, and the answers are two
+    read-only arrays made once."""
 
     def __init__(self, chain: WalkChain, f: Callable[[float], float]):
         self.chain = chain
         self.f = f
-        self._rng = np.random.default_rng(0)
+        self._probs = chain.left_probs.tolist()
+        answers = np.array([1.0, -1.0])
+        answers.setflags(write=False)
+        self._up, self._down = answers[:1], answers[1:]
+        self.reset(0)
 
     def reset(self, seed: int) -> None:
         self._rng = np.random.default_rng(seed)
+        self._tile = []
+        self._col = 0
 
-    def value(self, x) -> float:
-        return float(self.f(float(np.asarray(x).item(0))))
+    def value(self, X) -> np.ndarray:
+        """f at each row of a (k, 1) block; f takes one float at a time,
+        and no list of k Python floats is built."""
+        col = np.asarray(X)[:, 0]
+        return np.fromiter(map(self.f, map(float, col)), dtype=float, count=len(col))
 
     def subgradient(self, x, t: int) -> np.ndarray:
+        if self._col == len(self._tile):
+            self._tile = self._rng.random(TILE).tolist()
+            self._col = 0
+        u = self._tile[self._col]
+        self._col += 1
         i = int(round(float(np.asarray(x).item(0)) * self.chain.n))
-        up = self._rng.random() < self.chain.left_probs[i]
-        return np.array([1.0 if up else -1.0])
+        return self._up if u < self._probs[i] else self._down
 
 
 def simulate_chain_sgd(chain: WalkChain, f: Callable[[float], float],

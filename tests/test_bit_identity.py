@@ -1,5 +1,6 @@
-"""The one-buffer staircase kernel, the dot-product norms and the in-place
-certificate sampling against the straightforward formulas they replaced.
+"""The one-buffer staircase kernel, the dot-product norms, the in-place
+certificate sampling and the block-wise recorded values of ``run_sgd``
+against the straightforward formulas they replaced.
 
 The references below are those formulas, kept here only.  Every comparison
 is on raw bits (``view(np.uint64)``), so a flipped sign of zero or a NaN in a
@@ -9,6 +10,9 @@ import numpy as np
 import pytest
 
 import lastiter.constructions as cons
+import lastiter.nearly_linear as nl
+import lastiter.walk as wk
+from lastiter import engine
 from lastiter.engine import Ball
 
 DIMS = [1, 2, 8, 257]
@@ -170,3 +174,48 @@ def test_certificate_reports_match_reference(family):
         for alpha, seed in ((1.0, 0), (3.0, 1)):
             rep = cons.check_strong_convexity(inst, alpha=alpha, samples=2000, seed=seed)
             assert_report(rep, ref_strong_convexity(inst, alpha, 2000, seed))
+
+
+# ------------------------------------------- recorded values, block by block
+# run_sgd once called oracle.value at every iterate, one point at a time;
+# these references are those per-step formulas.  Each run is repeated with
+# blocks of 7 rows, so every horizon below spans many blocks and ends in a
+# ragged one; at d = 1024 the real blocks (32 rows) do so too.
+
+@pytest.fixture(params=[None, 7], ids=["VALUE_BLOCK", "7-rows"])
+def block_rows(request, monkeypatch):
+    """Set run_sgd's value block to ``rows`` rows of a d-dimensional point."""
+    def set_rows(d):
+        if request.param is not None:
+            monkeypatch.setattr(engine, "VALUE_BLOCK", request.param * d)
+    return set_rows
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+@pytest.mark.parametrize("d", [1, 8, 1024])
+def test_run_sgd_values_match_per_step_eval_f(family, d, block_rows):
+    block_rows(d)
+    T = max(2 * d, 1000)
+    inst = cons.build_instance(family, d, T)
+    trace = engine.run_sgd(cons.AdversarialOracle(inst), inst.feasible(),
+                           inst.schedule(), np.zeros(d), T)
+    assert_bits(trace.values, np.array([cons.eval_f(inst, x) for x in trace.iterates]))
+
+
+@pytest.mark.parametrize("shape", ["abs", "asym_abs", "piecewise"])
+def test_path_values_match_per_step_f(shape, block_rows):
+    block_rows(1)
+    kw = {"knots": [-0.3, 0.2], "slopes": [-0.4, -0.3, 0.25, 0.4]} if shape == "piecewise" else {}
+    inst = nl.build_nearly_linear(shape, 2.0, 1.0, 0.4, band_ratio=0.5, **kw)
+    trace = nl.path_via_engine(inst, 5000, x0=0.7, seed=5, trial=2)
+    want = [float(inst.f(float(x))) for x in trace.iterates[:, 0]]
+    assert_bits(trace.values, np.array(want))
+
+
+@pytest.mark.parametrize("name", ["linear", "piecewise", "exp"])
+def test_simulated_walk_values_match_per_step_f(name, block_rows):
+    block_rows(1)
+    f, df = wk.profile(name)
+    ch = wk.chain_from_function(f, 100, subgradient=df)
+    trace = wk.simulate_chain_sgd(ch, f, steps=5000, seed=4)
+    assert_bits(trace.values, np.array([f(float(x)) for x in trace.iterates[:, 0]]))

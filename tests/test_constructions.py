@@ -118,6 +118,22 @@ def test_eval_f_outside_ball():
         cons.eval_f(inst, np.array([1.0, 1.0]))
 
 
+def test_oracle_value_rejects_a_block_with_one_row_outside_ball():
+    inst = cons.build_instance("sc", 2, 4)
+    orc = cons.AdversarialOracle(inst)
+    X = np.array([[0.0, 0.0], [3 / 16, 1 / 4], [0.6, 0.8]])
+    np.testing.assert_array_equal(orc.value(X), [0.0, 113 / 512, cons.eval_f(inst, X[2])])
+    for row in range(3):
+        Y = X.copy()
+        Y[row] = [1.0, 1.0]
+        with pytest.raises(ValueError, match="x lies outside the unit ball"):
+            orc.value(Y)
+    # the slack of eval_f: 1 + 1e-9 passes, a hair beyond it does not
+    orc.value(np.array([[0.0, 1.0 + 0.5e-9]]))
+    with pytest.raises(ValueError, match="x lies outside the unit ball"):
+        orc.value(np.array([[0.0, 1.0 + 2e-9]]))
+
+
 # --------------------------------------------------------------- active set
 
 def test_active_set_examples():

@@ -9,8 +9,8 @@ from lastiter import engine as eng
 
 
 class ZeroOracle:
-    def value(self, x):
-        return 0.0
+    def value(self, X):
+        return np.zeros(len(X))
 
     def subgradient(self, x, t):
         return np.zeros_like(np.atleast_1d(x))
@@ -19,8 +19,8 @@ class ZeroOracle:
 class LinearOracle:
     """f(x) = x in 1D, constant subgradient 1."""
 
-    def value(self, x):
-        return float(np.asarray(x).reshape(-1)[0])
+    def value(self, X):
+        return np.asarray(X)[:, 0].copy()
 
     def subgradient(self, x, t):
         return np.array([1.0])
@@ -35,8 +35,8 @@ class CoinOracle:
     def reset(self, seed):
         self._rng = np.random.default_rng(seed)
 
-    def value(self, x):
-        return 0.0
+    def value(self, X):
+        return np.zeros(len(X))
 
     def subgradient(self, x, t):
         return np.array([1.0 if self._rng.random() < 0.5 else -1.0])
@@ -199,6 +199,26 @@ def test_run_sgd_argument_errors():
         with pytest.raises(ValueError):
             eng.run_sgd(FixedOracle(answer), eng.Ball(1.0, 2),
                         eng.StepSchedule("inv_t"), np.zeros(2), T=5)
+
+
+def test_run_sgd_rejects_one_point_values():
+    # an oracle written for one point per value call would broadcast its one
+    # float over the whole block; run_sgd must refuse its answer instead
+    class OnePointOracle(LinearOracle):
+        def value(self, x):
+            return float(np.asarray(x).reshape(-1)[0])
+
+    with pytest.raises(ValueError, match="oracle.value returned shape"):
+        eng.run_sgd(OnePointOracle(), eng.Interval(-1.0, 1.0),
+                    eng.StepSchedule("constant", value=0.5), np.array([0.0]), T=3)
+
+    class TallOracle(LinearOracle):  # (k, 1) in place of (k,)
+        def value(self, X):
+            return np.asarray(X).copy()
+
+    with pytest.raises(ValueError, match="oracle.value returned shape"):
+        eng.run_sgd(TallOracle(), eng.Interval(-1.0, 1.0),
+                    eng.StepSchedule("constant", value=0.5), np.array([0.0]), T=3)
 
 
 def test_stochastic_runs_are_seed_deterministic():

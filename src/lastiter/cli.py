@@ -6,7 +6,8 @@ key=value config file can be passed with --config; explicit flags override
 file values.  The default worker count honors the LASTITER_JOBS environment
 variable.  Exit status: 0 when every embedded check passes, 1 with a
 machine-readable failure report on stderr otherwise, 2 for usage errors
-(an input too large to fit in memory is one).
+(an input too large to fit in memory is one).  A sweep job that raises
+anything else becomes a failing row whose report carries the error text.
 """
 
 from __future__ import annotations
@@ -75,6 +76,20 @@ def _verify_point(job) -> dict:
     rep = cons.verify_instance(cons.build_instance(family, d, T), tol=tol, seed=seed)
     return {**rep.to_dict(), "ratio": rep.final_value / rep.bound,
             "pass": rep.passed and cons.beats_bound(rep.final_value, rep.bound, d)}
+
+
+def _sweep_point(job) -> dict:
+    """The record of one sweep job, or a failing row carrying the exception's
+    text when the job raised anything but a usage error."""
+    try:
+        return _verify_point(job)
+    except (ValueError, OSError, MemoryError):
+        raise           # usage errors: main exits 2
+    except Exception as exc:
+        family, d, T = job[:3]
+        return {"family": family, "d": d, "T": T, "final_value": None, "bound": None,
+                "ratio": None, "max_deviation": None, "first_mismatch": None,
+                "divergences": None, "pass": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def emit_curve(results: list[dict], x_axis: str = "d") -> tuple[list[str], list[tuple]]:
@@ -187,20 +202,22 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep grid is empty (no (d, T) pair with d <= T)")
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_point, jobs))
+            results = list(pool.map(_sweep_point, jobs))
     else:
-        results = [_verify_point(j) for j in jobs]
+        results = [_sweep_point(j) for j in jobs]
 
     header = ["family", "d", "T", "final_value", "bound", "ratio", "pass"]
     rows = [tuple(r[h] for h in header) for r in results]
     _emit_csv(header, rows, args.out)
-    if args.curve_out:
-        chead, crows = emit_curve(results, x_axis=args.x_axis)
+    done = [r for r in results if "error" not in r]
+    if args.curve_out and done:
+        chead, crows = emit_curve(done, x_axis=args.x_axis)
         _emit_csv(chead, crows, args.curve_out)
     bad = [r for r in results if not r["pass"]]
     if bad:
-        keys = ("family", "d", "T", "max_deviation", "first_mismatch", "divergences", "pass")
-        return _fail([{k: r[k] for k in keys} for r in bad])
+        keys = ("family", "d", "T", "max_deviation", "first_mismatch", "divergences",
+                "pass", "error")
+        return _fail([{k: r[k] for k in keys if k in r} for r in bad])
     return 0
 
 

@@ -28,8 +28,11 @@ schedule:
 For d = 1 the harmonic sum degenerates and the fallback bounds are 1/(4T)
 and 1/(32 sqrt(T)) respectively.
 
-Verification streams the engine's iterates against the closed form row by
-row (``verify_instance``, memory O(T + d)) or checks a recorded trace.
+Verification compares the engine's iterates with closed-form row blocks:
+each streamed iterate as a one-row block (``verify_instance``, memory
+O(T + d)), or a recorded trace in blocks of ``engine.VALUE_BLOCK`` floats
+(``verify_trajectory``).  The sampled Lipschitz and strong-convexity
+certificates evaluate their pairs in blocks of the same size.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from .engine import Ball, SgdTrace, StepSchedule, euclidean_norm, run_sgd, sgd_steps
 
 STRONGLY_CONVEX = "sc"
@@ -192,16 +196,19 @@ def subgradient_at(inst: AdversarialInstance, x) -> np.ndarray:
 class AdversarialOracle:
     """Subgradient oracle driving the worst-case trajectory.
 
-    Returns the zero vector for the first T-d steps; afterwards returns the
-    gradient of the lowest active piece other than the base piece (plus x
-    for the strongly convex family).  On the intended trajectory that piece
-    index equals t - (T-d); any disagreement is recorded in
-    ``self.divergences`` as (t, expected, got) so drift is observable.
+    Returns one shared read-only zero vector for the first T-d steps;
+    afterwards returns the gradient of the lowest active piece other than
+    the base piece (plus x for the strongly convex family).  On the
+    intended trajectory that piece index equals t - (T-d); any disagreement
+    is recorded in ``self.divergences`` as (t, expected, got) so drift is
+    observable.
     """
 
     def __init__(self, inst: AdversarialInstance):
         self.inst = inst
         self.divergences: list[tuple[int, int, int]] = []
+        self._zero = np.zeros(inst.d)
+        self._zero.setflags(write=False)
 
     def reset(self, seed: int) -> None:
         # deterministic oracle; only clear the drift log for a fresh run
@@ -220,7 +227,7 @@ class AdversarialOracle:
         if not 1 <= t <= inst.T:
             raise ValueError(f"step index {t} out of range 1..{inst.T}")
         if t <= inst.quiet_steps:
-            return np.zeros(inst.d)
+            return self._zero
         vals = piece_values(inst, x)
         active = vals[1:] >= vals.max() - ACTIVE_TOL
         i = int(active.argmax()) + 1        # the first active piece above the base one
@@ -234,9 +241,18 @@ class AdversarialOracle:
         return _piece_grad(inst, i, np.asarray(x, dtype=float))
 
 
-def _closed_form_rows(inst: AdversarialInstance, ts):
-    """Predicted iterate z_t, all d coordinates, for each step t in ts, every
-    t in 1..T+1; the lip-dec prefix sum is computed once per call.
+def _harmonic_prefix(inst: AdversarialInstance) -> np.ndarray | None:
+    """prefix[m] = sum_{k=1}^m 1/sqrt(k), prefix[0] = 0, for the lip-dec
+    closed form; None for the other families, which do not use it."""
+    if inst.family != LIPSCHITZ_DECREASING:
+        return None
+    return np.concatenate(([0.0], np.cumsum(1.0 / np.sqrt(np.arange(1, inst.T + 1)))))
+
+
+def _closed_form_block(inst: AdversarialInstance, t0: int, t1: int,
+                       prefix: np.ndarray | None) -> np.ndarray:
+    """Predicted iterates z_t for t in [t0, t1), 1 <= t0 < t1 <= T+2, as a
+    (t1-t0, d) array; ``prefix`` is ``_harmonic_prefix(inst)``.
 
     z_t = 0 for t <= T-d+1.  For later t, with q = T-d, coordinate j is
     nonzero exactly when j < t-q:
@@ -244,30 +260,34 @@ def _closed_form_rows(inst: AdversarialInstance, ts):
       sc:        z_{t,j} = (1 - (t-q-j-1) a_j) / (t-1)
       lip-dec:   z_{t,j} = b_j/sqrt(j+q) - a_j * sum_{k=j+q+1}^{t-1} 1/sqrt(k)
       lip-fixed: z_{t,j} = (b_j - a_j (t-j-q-1)) / sqrt(T)
+
+    The formula runs on the kicked rows and the columns j < t1-q-1 only, and
+    is written under the triangular mask j < t-q; every other entry is +0.0.
     """
     q = inst.quiet_steps
-    if inst.family == LIPSCHITZ_DECREASING:
-        # prefix[m] = sum_{k=1}^m 1/sqrt(k), prefix[0] = 0
-        prefix = np.concatenate(([0.0], np.cumsum(1.0 / np.sqrt(np.arange(1, inst.T + 1)))))
-    for t in ts:
-        z = np.zeros(inst.d)
-        m = t - q - 1                  # support is coordinates 1..m
-        if m > 0:
-            j, a, b = np.arange(1.0, m + 1), inst.shared_slopes[:m], inst.depths[:m]
-            if inst.family == STRONGLY_CONVEX:
-                z[:m] = (1.0 - (t - q - j - 1.0) * a) / (t - 1.0)
-            elif inst.family == LIPSCHITZ_FIXED:
-                z[:m] = (b - a * (t - j - q - 1.0)) / np.sqrt(inst.T)
-            else:
-                z[:m] = b / np.sqrt(j + q) - a * (prefix[t - 1] - prefix[q + 1:q + m + 1])
-        yield z
+    z = np.zeros((t1 - t0, inst.d))
+    lo, w = max(t0, q + 2), t1 - q - 2     # first kicked row, support width
+    if lo < t1:
+        t = np.arange(lo, t1, dtype=float)[:, None]
+        j, a, b = np.arange(1.0, w + 1), inst.shared_slopes[:w], inst.depths[:w]
+        if inst.family == STRONGLY_CONVEX:
+            v = (1.0 - (t - q - j - 1.0) * a) / (t - 1.0)
+        elif inst.family == LIPSCHITZ_FIXED:
+            v = (b - a * (t - j - q - 1.0)) / np.sqrt(inst.T)
+        else:
+            v = b / np.sqrt(j + q) - a * (prefix[lo - 1:t1 - 1, None] - prefix[q + 1:q + w + 1])
+        if lo < t1 - 1:     # rows before the last have fewer than w nonzeros
+            np.copyto(z[lo - t0:, :w], v, where=j < t - q)
+        else:
+            z[-1, :w] = v[0]
+    return z
 
 
 def closed_form_iterate(inst: AdversarialInstance, t: int) -> np.ndarray:
     """Predicted iterate z_t for one step t in 1..T+1."""
     if not 1 <= t <= inst.T + 1:
         raise ValueError(f"t={t} out of range 1..{inst.T + 1}")
-    return next(_closed_form_rows(inst, [t]))
+    return _closed_form_block(inst, t, t + 1, _harmonic_prefix(inst))[0]
 
 
 def lower_bound_value(family: str, d: int, T: int) -> float:
@@ -322,45 +342,63 @@ class VerifyReport:
         return rec
 
 
-def _compare(inst: AdversarialInstance, iterates, tol: float, oracle=None) -> VerifyReport:
-    """Max-norm comparison of x_1..x_{T+1} with the closed form row by row,
-    keeping only the T+1 row deviations and the oracle's divergences.  A NaN
-    ``tol`` is rejected: no deviation compares above it, so every run would pass."""
+def _compare(inst: AdversarialInstance, blocks, tol: float, oracle=None) -> VerifyReport:
+    """Max-norm comparison of x_1..x_{T+1}, given as consecutive (k, d) row
+    blocks, with the closed form block by block, keeping only the T+1 row
+    deviations and the oracle's divergences.  A NaN ``tol`` is rejected: no
+    deviation compares above it, so every run would pass."""
     if np.isnan(tol):
         raise ValueError("tol must not be NaN")
     dev = np.empty(inst.T + 1)
-    rows = _closed_form_rows(inst, range(1, inst.T + 2))
-    for n, (x, z) in enumerate(zip(iterates, rows, strict=True)):
-        dev[n] = np.abs(x - z).max()
+    prefix = _harmonic_prefix(inst)
+    t = 1
+    for x in blocks:
+        t1 = t + x.shape[0]
+        z = _closed_form_block(inst, t, t1, prefix)
+        np.subtract(x, z, out=z)
+        np.maximum.reduce(np.abs(z, out=z), axis=1, out=dev[t - 1:t1 - 1])
+        t = t1
+    if t != inst.T + 2:
+        raise ValueError(f"got {t - 1} iterates, expected T+1 = {inst.T + 1}")
     bad = np.flatnonzero(dev > tol)
     first = int(bad[0]) + 1 if bad.size else None
     return VerifyReport(
         family=inst.family, d=inst.d, T=inst.T,
         max_deviation=float(dev.max()), first_mismatch=first,
-        final_value=eval_f(inst, x),
+        final_value=eval_f(inst, x[-1]),
         bound=lower_bound_value(inst.family, inst.d, inst.T),
         tol=tol, passed=first is None,
         divergences=None if oracle is None else oracle.divergences,
     )
 
 
+def _block_rows(d: int) -> int:
+    """Rows of d floats per block of at most ``engine.VALUE_BLOCK`` floats
+    (at least one), read at call time."""
+    return max(1, engine.VALUE_BLOCK // d)
+
+
 def verify_trajectory(inst: AdversarialInstance, trace: SgdTrace,
                       tol: float = 1e-9) -> VerifyReport:
-    """Check a recorded trace against the closed form; it has no divergences."""
+    """Check a recorded trace against the closed form, in blocks of
+    ``engine.VALUE_BLOCK`` floats of iterates; a trace has no divergences."""
     want = (inst.T + 1, inst.d)
     if trace.iterates.shape != want:
         raise ValueError(f"trace shape {trace.iterates.shape} does not match expected {want}")
-    return _compare(inst, trace.iterates, tol)
+    rows = _block_rows(inst.d)
+    blocks = (trace.iterates[s:s + rows] for s in range(0, inst.T + 1, rows))
+    return _compare(inst, blocks, tol)
 
 
 def verify_instance(inst: AdversarialInstance, tol: float = 1e-9,
                     seed: int = 0) -> VerifyReport:
     """Run the engine as :func:`run_on_instance` does and check each iterate
-    as it is produced: no history, f only at the final iterate, memory
-    O(T + d).  The report carries the oracle's divergences."""
+    as it is produced, as a one-row block viewing it: no history, f only at
+    the final iterate, memory O(T + d).  The report carries the oracle's
+    divergences."""
     oracle = AdversarialOracle(inst)
     steps = sgd_steps(oracle, inst.feasible(), inst.schedule(), np.zeros(inst.d), inst.T, seed)
-    return _compare(inst, (x for _, _, x in steps), tol, oracle)
+    return _compare(inst, (x[None] for _, _, x in steps), tol, oracle)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -371,13 +409,17 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 def sample_ball(rng: np.random.Generator, count: int, dim: int,
                 radius: float = 1.0) -> np.ndarray:
-    """Uniform samples from the ball: normalized Gaussian scaled by U^(1/dim),
-    in place."""
+    """Uniform samples from the ball: normalized Gaussian scaled by U^(1/dim).
+    All normals are drawn, then all radii; the rows are then normalized and
+    scaled in place, one block of ``engine.VALUE_BLOCK`` floats at a time."""
     g = rng.standard_normal((count, dim))
-    g /= _row_norms(g)[:, None]
     r = rng.random(count) ** (1.0 / dim)
-    g *= radius
-    g *= r[:, None]
+    rows = _block_rows(dim)
+    for s in range(0, count, rows):
+        blk = g[s:s + rows]
+        blk /= _row_norms(blk)[:, None]
+        blk *= radius
+        blk *= r[s:s + rows, None]
     return g
 
 
@@ -406,7 +448,9 @@ def check_lipschitz(inst: AdversarialInstance, L: float | None = None,
 
     Also verifies that every active piece at every sampled point has
     (sub)gradient norm at most L, which covers every output the min-index
-    oracle could emit there.
+    oracle could emit there.  The pairs are evaluated one block of
+    ``engine.VALUE_BLOCK`` floats at a time; only per-pair scalars are kept
+    for all of them.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -416,31 +460,40 @@ def check_lipschitz(inst: AdversarialInstance, L: float | None = None,
     X = sample_ball(rng, samples, inst.d)
     Y = sample_ball(rng, samples, inst.d)
 
-    # ordered so that at most two (n, d)-sized arrays live beside X and Y
-    dist = _row_norms(X - Y)
-    fy = piece_values(inst, Y).max(axis=1)
-    vx = piece_values(inst, X)
-    fx = vx.max(axis=1)
+    c = np.cumsum(np.concatenate(([0.0], inst.shared_slopes ** 2)))
+    row_sq = np.concatenate(([0.0], c[:-1] + inst.depths ** 2, c[-1:]))
+    dist, fx, fy = np.empty(samples), np.empty(samples), np.empty(samples)
+    # subgradient norms over all active pieces at the x-samples: the largest
+    # squared norm per block (sc), or the columns active anywhere (otherwise)
+    sq_max, active_cols = [], np.zeros(inst.d + 2, dtype=bool)
+    rows = _block_rows(inst.d)
+    for s in range(0, samples, rows):
+        x, y, e = X[s:s + rows], Y[s:s + rows], slice(s, s + rows)
+        dist[e] = _row_norms(x - y)
+        fy[e] = piece_values(inst, y).max(axis=1)
+        vx = piece_values(inst, x)
+        fx[e] = vx.max(axis=1)
+        act = vx >= fx[e, None] - ACTIVE_TOL
+        if inst.quadratic:
+            # ||h_i + x||^2 = ||h_i||^2 + 2 (h_i.x + ||x||^2/2), and the bracket is vx
+            vx *= 2.0
+            vx += row_sq
+            np.copyto(vx, 0.0, where=~act)
+            sq_max.append(vx.max())
+        else:
+            active_cols |= act.any(axis=0)
+    if inst.quadratic:
+        gnorm = float(np.sqrt(np.max(sq_max)))
+    else:
+        # every row_sq is >= +0.0, so the max over active columns is the max
+        # over active entries
+        gnorm = float(np.sqrt(row_sq[active_cols].max()))
+
     gap = np.abs(fx - fy) - L * dist
     worst_idx = int(np.argmax(gap))
     worst = float(gap[worst_idx])
     nz = dist > 0
     worst_ratio = float(np.max(np.abs(fx - fy)[nz] / (L * dist[nz]))) if nz.any() else 0.0
-
-    # subgradient norms over all active pieces at the x-samples
-    act = vx >= fx[:, None] - ACTIVE_TOL
-    c = np.cumsum(np.concatenate(([0.0], inst.shared_slopes ** 2)))
-    row_sq = np.concatenate(([0.0], c[:-1] + inst.depths ** 2, c[-1:]))
-    if inst.quadratic:
-        # ||h_i + x||^2 = ||h_i||^2 + 2 (h_i.x + ||x||^2/2), and the bracket is vx
-        vx *= 2.0
-        vx += row_sq
-        np.copyto(vx, 0.0, where=~act)
-        gnorm = float(np.sqrt(vx.max()))
-    else:
-        # every row_sq is >= +0.0, so the max over active columns is the max
-        # over active entries
-        gnorm = float(np.sqrt(row_sq[act.any(axis=0)].max()))
 
     passed = worst <= slack_tol and gnorm <= L + slack_tol
     witness = None
@@ -456,7 +509,8 @@ def check_strong_convexity(inst: AdversarialInstance, alpha: float = 1.0,
                            samples: int = 10_000, seed: int = 0,
                            slack_tol: float = 1e-12) -> CertificateReport:
     """Sampled certificate that f(y) - f(x) >= g.(y-x) + alpha/2 ||y-x||^2
-    for g the canonical subgradient at x."""
+    for g the canonical subgradient at x, one block of ``engine.VALUE_BLOCK``
+    floats of pairs at a time; only the per-pair slacks are kept."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not inst.quadratic:
@@ -465,19 +519,23 @@ def check_strong_convexity(inst: AdversarialInstance, alpha: float = 1.0,
     X = sample_ball(rng, samples, inst.d)
     Y = sample_ball(rng, samples, inst.d)
 
-    fy = piece_values(inst, Y).max(axis=1)
-    vx = piece_values(inst, X)
-    fx = vx.max(axis=1)
-    first_active = np.argmax(vx >= fx[:, None] - ACTIVE_TOL, axis=1)
-    del vx   # free the (n, d+2) values before G takes (n, d)
-    # at most d+2 distinct pieces: build each row once, then gather
-    rows, which = np.unique(first_active, return_inverse=True)
-    G = np.array([_piece_row(inst, int(i)) for i in rows])[which]
-    G += X
-    diff = Y - X
-    G *= diff
-    diff *= diff
-    slack = fy - fx - np.add.reduce(G, axis=1) - 0.5 * alpha * np.add.reduce(diff, axis=1)
+    slack = np.empty(samples)
+    rows = _block_rows(inst.d)
+    for s in range(0, samples, rows):
+        x, y = X[s:s + rows], Y[s:s + rows]
+        fy = piece_values(inst, y).max(axis=1)
+        vx = piece_values(inst, x)
+        fx = vx.max(axis=1)
+        first_active = np.argmax(vx >= fx[:, None] - ACTIVE_TOL, axis=1)
+        # at most d+2 distinct pieces: build each row once, then gather
+        pieces, which = np.unique(first_active, return_inverse=True)
+        G = np.array([_piece_row(inst, int(i)) for i in pieces])[which]
+        G += x
+        diff = y - x
+        G *= diff
+        diff *= diff
+        slack[s:s + rows] = (fy - fx - np.add.reduce(G, axis=1)
+                             - 0.5 * alpha * np.add.reduce(diff, axis=1))
     worst_idx = int(np.argmin(slack))
     worst = float(slack[worst_idx])
     passed = worst >= -slack_tol

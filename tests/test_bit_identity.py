@@ -1,6 +1,7 @@
 """The one-buffer staircase kernel, the dot-product norms, the in-place
-certificate sampling and the block-wise recorded values of ``run_sgd``
-against the straightforward formulas they replaced.
+certificate sampling, the block-wise recorded values of ``run_sgd`` and the
+block-wise worst-case checks against the straightforward formulas they
+replaced.
 
 The references below are those formulas, kept here only.  Every comparison
 is on raw bits (``view(np.uint64)``), so a flipped sign of zero or a NaN in a
@@ -219,3 +220,114 @@ def test_simulated_walk_values_match_per_step_f(name, block_rows):
     ch = wk.chain_from_function(f, 100, subgradient=df)
     trace = wk.simulate_chain_sgd(ch, f, steps=5000, seed=4)
     assert_bits(trace.values, np.array([f(float(x)) for x in trace.iterates[:, 0]]))
+
+
+# --------------------------------------- worst-case checks, block by block
+# the closed-form comparison, the ball sampling and both certificates once
+# worked one row, or all n rows, at a time; they now run over blocks of
+# engine.VALUE_BLOCK floats, which block_rows shrinks to 7 rows.
+
+def ref_closed_form_rows(inst, ts):
+    """The per-row closed form z_t for each t in ts."""
+    q = inst.quiet_steps
+    if inst.family == cons.LIPSCHITZ_DECREASING:
+        prefix = np.concatenate(([0.0], np.cumsum(1.0 / np.sqrt(np.arange(1, inst.T + 1)))))
+    for t in ts:
+        z = np.zeros(inst.d)
+        m = t - q - 1
+        if m > 0:
+            j, a, b = np.arange(1.0, m + 1), inst.shared_slopes[:m], inst.depths[:m]
+            if inst.family == cons.STRONGLY_CONVEX:
+                z[:m] = (1.0 - (t - q - j - 1.0) * a) / (t - 1.0)
+            elif inst.family == cons.LIPSCHITZ_FIXED:
+                z[:m] = (b - a * (t - j - q - 1.0)) / np.sqrt(inst.T)
+            else:
+                z[:m] = b / np.sqrt(j + q) - a * (prefix[t - 1] - prefix[q + 1:q + m + 1])
+        yield z
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 8, 257, 1024])
+def test_closed_form_blocks_match_per_row_reference(family, d, block_rows):
+    block_rows(d)
+    T = 2 * d + 3
+    inst = cons.build_instance(family, d, T)
+    want = np.array(list(ref_closed_form_rows(inst, range(1, T + 2))))
+    rows = max(1, engine.VALUE_BLOCK // d)
+    prefix = cons._harmonic_prefix(inst)
+    got = [cons._closed_form_block(inst, s, min(s + rows, T + 2), prefix)
+           for s in range(1, T + 2, rows)]
+    assert_bits(np.vstack(got), want)
+    assert_bits(cons._closed_form_block(inst, 1, T + 2, prefix), want)
+    for t in (1, inst.quiet_steps + 1, inst.quiet_steps + 2, T + 1):
+        assert_bits(cons.closed_form_iterate(inst, t), want[t - 1])
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+@pytest.mark.parametrize("d", [1, 8, 257])
+def test_deviation_and_first_mismatch_in_a_later_block(family, d, block_rows):
+    block_rows(d)
+    T = 2 * d + 40
+    inst = cons.build_instance(family, d, T)
+    trace = cons.run_on_instance(inst)
+    # step T-1 and the final iterate lie in a later block with 7-row blocks,
+    # and at d = 257 with the real 127-row blocks too
+    bad = T - 1
+    trace.iterates[bad - 1, -1] += 1e-6
+    trace.iterates[bad + 1, 0] -= 1e-6
+    ref = ref_closed_form_rows(inst, range(1, T + 2))
+    dev = np.array([np.abs(x - z).max() for x, z in zip(trace.iterates, ref, strict=True)])
+    rep = cons.verify_trajectory(inst, trace, tol=1e-9)
+    assert rep.first_mismatch == bad and not rep.passed
+    assert_bits(rep.max_deviation, float(dev.max()))
+    assert_bits(rep.final_value, cons.eval_f(inst, trace.iterates[-1]))
+
+
+def _worst_index(X, witness):
+    return int(np.flatnonzero((X == witness[0]).all(axis=1))[0])
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+def test_certificates_with_the_worst_pair_in_a_later_block(family, block_rows):
+    d = 257                           # 127 rows per real block, 16 blocks
+    block_rows(d)
+    inst = cons.build_instance(family, d, 2 * d)
+    rows = max(1, engine.VALUE_BLOCK // d)
+    n = 2000
+    X = ref_sample_ball(np.random.default_rng(3), n, d)
+    ref = ref_lipschitz(inst, 0.1, n, 3)
+    assert _worst_index(X, ref[3]) >= rows
+    assert_report(cons.check_lipschitz(inst, L=0.1, samples=n, seed=3), ref)
+    assert_report(cons.check_lipschitz(inst, samples=n, seed=3),
+                  ref_lipschitz(inst, inst.lipschitz_constant, n, 3))
+    if inst.quadratic:
+        ref = ref_strong_convexity(inst, 3.0, n, 3)
+        assert _worst_index(X, ref[3]) >= rows
+        assert_report(cons.check_strong_convexity(inst, alpha=3.0, samples=n, seed=3), ref)
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+def test_certificate_tie_across_blocks_keeps_the_first(family, block_rows, monkeypatch):
+    # rows 3 and 17 (blocks 0 and 2 at 7 rows) are the same pair up to the
+    # sign of a zero coordinate, so their slacks tie exactly and only the
+    # witness tells which one was reported: argmax/argmin keep the first
+    d, n = 8, 20
+    block_rows(d)
+    inst = cons.build_instance(family, d, 2 * d)
+    rng = np.random.default_rng(5)
+    X = 0.5 * ref_sample_ball(rng, n, d)
+    X[3] = X[17] = 0.0
+    X[3, 1] = X[17, 1] = 0.5
+    X[17, 0] = -0.0
+    Y = X.copy()                      # every other pair has slack 0
+    Y[3] = Y[17] = 0.0
+    checks = [lambda: cons.check_lipschitz(inst, L=1e-3, samples=n)]
+    if inst.quadratic:
+        checks.append(lambda: cons.check_strong_convexity(inst, alpha=3.0, samples=n))
+    for check in checks:
+        draws = iter((X, Y))
+        monkeypatch.setattr(cons, "sample_ball", lambda rng, count, dim: next(draws))
+        rep = check()
+        assert not rep.passed
+        assert_bits(rep.witness[0], X[3])
+        assert not np.signbit(rep.witness[0][0])

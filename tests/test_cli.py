@@ -39,6 +39,32 @@ def test_sweep_failure_report_carries_mismatch_and_drift(tmp_path, capsys):
     assert row["divergences"] == {"count": 0, "first": []}
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_job_exception_is_a_failing_row(jobs, tmp_path, monkeypatch, capsys):
+    # the workers are forked after the patch, so they raise too; the other
+    # jobs still finish and the failure report carries the exception text
+    real = cli._verify_point
+
+    def flaky(job):
+        if job[1] == 4:
+            raise RuntimeError("trajectory left the analyzed region")
+        return real(job)
+
+    monkeypatch.setattr(cli, "_verify_point", flaky)
+    out, curve = tmp_path / "s.csv", tmp_path / "c.csv"
+    code = run(["sweep", "--family", "sc", "--d", "2,4,8", "--T", "64", "--jobs", jobs,
+                "--curve-out", str(curve), "--out", str(out)])
+    assert code == 1
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4 and lines[2] == "sc,4,64,,,,False"
+    assert lines[1].startswith("sc,2,64,") and lines[3].startswith("sc,8,64,")
+    assert [l.split(",")[0] for l in curve.read_text().splitlines()] == ["d", "2", "8"]
+    (row,) = json.loads(capsys.readouterr().err)["failures"]
+    assert row == {"family": "sc", "d": 4, "T": 64, "max_deviation": None,
+                   "first_mismatch": None, "divergences": None, "pass": False,
+                   "error": "RuntimeError: trajectory left the analyzed region"}
+
+
 def test_lowerbound_csv(tmp_path):
     out = tmp_path / "lb.csv"
     code = run(["lowerbound", "--family", "sc", "--d", "2", "--T", "4",

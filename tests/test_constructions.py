@@ -158,6 +158,18 @@ def test_oracle_quiet_then_kick():
     assert orc.divergences == []
 
 
+@pytest.mark.parametrize("family", cons.FAMILIES)
+def test_quiet_steps_share_one_read_only_zero(family):
+    inst = cons.build_instance(family, 3, 10)
+    orc = cons.AdversarialOracle(inst)
+    quiet = [orc.subgradient(np.zeros(3), t) for t in range(1, inst.quiet_steps + 1)]
+    assert all(g is quiet[0] for g in quiet) and not quiet[0].flags.writeable
+    assert not np.signbit(quiet[0]).any() and not quiet[0].any()
+    # recorded quiet gradients are +0.0 bit for bit
+    trace = cons.run_on_instance(inst)
+    assert not trace.gradients[:inst.quiet_steps].view(np.uint64).any()
+
+
 def test_oracle_step_index_range():
     inst = cons.build_instance("sc", 2, 4)
     orc = cons.AdversarialOracle(inst)
@@ -205,11 +217,13 @@ def test_closed_form_hand_values():
 
 @pytest.mark.parametrize("family", cons.FAMILIES)
 def test_closed_form_iterate_is_trajectory_row(family):
-    # one generator pass (lip-dec prefix sum computed once) equals per-t calls
+    # one block over all T+1 steps (lip-dec prefix sum passed in) equals
+    # per-t calls
     for d, T in GRID:
         inst = cons.build_instance(family, d, T)
-        ts = range(1, T + 2)
-        for t, row in zip(ts, cons._closed_form_rows(inst, ts), strict=True):
+        block = cons._closed_form_block(inst, 1, T + 2, cons._harmonic_prefix(inst))
+        assert block.shape == (T + 1, d)
+        for t, row in enumerate(block, start=1):
             assert np.array_equal(cons.closed_form_iterate(inst, t), row)
 
 
@@ -345,6 +359,22 @@ def test_certificates_fail_at_wrong_constants():
     assert not cons.check_strong_convexity(sc, alpha=3.0, samples=4000, seed=0).passed
     with pytest.raises(ValueError):
         cons.check_strong_convexity(cons.build_instance("lip-dec", 4, 16))
+
+
+@pytest.mark.parametrize("check", [cons.check_lipschitz, cons.check_strong_convexity])
+def test_certificate_memory_is_the_samples_plus_blocks(check):
+    # X and Y are the only (n, d) arrays; values, distances and subgradients
+    # are formed one block at a time, not as about five more (n, d) arrays
+    inst = cons.build_instance("sc", 256, 256)
+    samples = 4000
+    xy_bytes = 2 * samples * inst.d * 8
+    tracemalloc.start()
+    try:
+        assert check(inst, samples=samples, seed=0).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < xy_bytes + 4 * 2**20, (peak - xy_bytes) / 2**20
 
 
 def test_strong_convexity_degenerate_pair():

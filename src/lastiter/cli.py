@@ -6,8 +6,9 @@ key=value config file can be passed with --config; explicit flags override
 file values.  The default worker count honors the LASTITER_JOBS environment
 variable.  Exit status: 0 when every embedded check passes, 1 with a
 machine-readable failure report on stderr otherwise, 2 for usage errors
-(an input too large to fit in memory is one).  A sweep job that raises
-anything else becomes a failing row whose report carries the error text.
+(an input too large to fit in memory is one).  A sweep checks its inputs
+before any job runs; a job that then raises anything but ``MemoryError``
+becomes a failing row whose report carries the error text.
 """
 
 from __future__ import annotations
@@ -80,16 +81,21 @@ def _verify_point(job) -> dict:
 
 def _sweep_point(job) -> dict:
     """The record of one sweep job, or a failing row carrying the exception's
-    text when the job raised anything but a usage error."""
+    text when the job raised anything but ``MemoryError``.  ``cmd_sweep``
+    checks the usage inputs before any job runs, so an error raised here is
+    the run's own."""
     try:
         return _verify_point(job)
-    except (ValueError, OSError, MemoryError):
-        raise           # usage errors: main exits 2
+    except MemoryError:
+        raise           # an input too large for memory: main exits 2
     except Exception as exc:
         family, d, T = job[:3]
         return {"family": family, "d": d, "T": T, "final_value": None, "bound": None,
                 "ratio": None, "max_deviation": None, "first_mismatch": None,
                 "divergences": None, "pass": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+_CURVE_VALUES = ("final_suboptimality", "bound")
 
 
 def emit_curve(results: list[dict], x_axis: str = "d") -> tuple[list[str], list[tuple]]:
@@ -99,7 +105,7 @@ def emit_curve(results: list[dict], x_axis: str = "d") -> tuple[list[str], list[
     if not results:
         raise ValueError("empty results; nothing to emit")
     rows = sorted((r[x_axis], r["final_value"], r["bound"]) for r in results)
-    return [x_axis, "final_suboptimality", "bound"], rows
+    return [x_axis, *_CURVE_VALUES], rows
 
 
 # --------------------------------------------------------------------------
@@ -200,6 +206,11 @@ def cmd_sweep(args) -> int:
             for family in families for d in args.d for T in args.T if d <= T]
     if not jobs:
         raise ValueError("sweep grid is empty (no (d, T) pair with d <= T)")
+    # usage errors surface here, before any job runs
+    if math.isnan(args.tol):
+        raise ValueError("tol must not be NaN")
+    for family, d, T, *_ in jobs:
+        cons.build_instance(family, d, T)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_point, jobs))
@@ -210,8 +221,10 @@ def cmd_sweep(args) -> int:
     rows = [tuple(r[h] for h in header) for r in results]
     _emit_csv(header, rows, args.out)
     done = [r for r in results if "error" not in r]
-    if args.curve_out and done:
-        chead, crows = emit_curve(done, x_axis=args.x_axis)
+    if args.curve_out:
+        # header only when every job failed, so no earlier curve is left there
+        chead, crows = (emit_curve(done, x_axis=args.x_axis) if done
+                        else ([args.x_axis, *_CURVE_VALUES], []))
         _emit_csv(chead, crows, args.curve_out)
     bad = [r for r in results if not r["pass"]]
     if bad:

@@ -276,10 +276,7 @@ def _closed_form_block(inst: AdversarialInstance, t0: int, t1: int,
             v = (b - a * (t - j - q - 1.0)) / np.sqrt(inst.T)
         else:
             v = b / np.sqrt(j + q) - a * (prefix[lo - 1:t1 - 1, None] - prefix[q + 1:q + w + 1])
-        if lo < t1 - 1:     # rows before the last have fewer than w nonzeros
-            np.copyto(z[lo - t0:, :w], v, where=j < t - q)
-        else:
-            z[-1, :w] = v[0]
+        np.copyto(z[lo - t0:, :w], v, where=j < t - q)
     return z
 
 

@@ -41,16 +41,15 @@ def test_sweep_failure_report_carries_mismatch_and_drift(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_job_exception_is_a_failing_row(jobs, tmp_path, monkeypatch, capsys):
-    # the workers are forked after the patch, so they raise too; the other
-    # jobs still finish and the failure report carries the exception text
-    real = cli._verify_point
+    # one job's final iterate leaves the ball, so eval_f raises the ValueError
+    # a real run would; the workers are forked after the patch, so they raise
+    # too, the other jobs still finish and the report carries the text
+    real = cli.cons.eval_f
 
-    def flaky(job):
-        if job[1] == 4:
-            raise RuntimeError("trajectory left the analyzed region")
-        return real(job)
+    def off_ball(inst, x):
+        return real(inst, x + 2.0 if inst.d == 4 else x)
 
-    monkeypatch.setattr(cli, "_verify_point", flaky)
+    monkeypatch.setattr(cli.cons, "eval_f", off_ball)
     out, curve = tmp_path / "s.csv", tmp_path / "c.csv"
     code = run(["sweep", "--family", "sc", "--d", "2,4,8", "--T", "64", "--jobs", jobs,
                 "--curve-out", str(curve), "--out", str(out)])
@@ -62,7 +61,23 @@ def test_sweep_job_exception_is_a_failing_row(jobs, tmp_path, monkeypatch, capsy
     (row,) = json.loads(capsys.readouterr().err)["failures"]
     assert row == {"family": "sc", "d": 4, "T": 64, "max_deviation": None,
                    "first_mismatch": None, "divergences": None, "pass": False,
-                   "error": "RuntimeError: trajectory left the analyzed region"}
+                   "error": "ValueError: x lies outside the unit ball"}
+
+
+def test_sweep_all_jobs_failing_leaves_a_header_only_curve(tmp_path, monkeypatch, capsys):
+    def broken(job):
+        raise ValueError("non-finite subgradient")
+
+    monkeypatch.setattr(cli, "_verify_point", broken)
+    out, curve = tmp_path / "s.csv", tmp_path / "c.csv"
+    curve.write_text("d,final_suboptimality,bound\n2,0.5,0.25\n")   # an earlier run's
+    code = run(["sweep", "--family", "sc", "--d", "2,4", "--T", "64", "--x-axis", "T",
+                "--curve-out", str(curve), "--out", str(out)])
+    assert code == 1
+    assert curve.read_text() == "T,final_suboptimality,bound\n"
+    assert out.read_text().splitlines()[1:] == ["sc,2,64,,,,False", "sc,4,64,,,,False"]
+    failures = json.loads(capsys.readouterr().err)["failures"]
+    assert [f["error"] for f in failures] == ["ValueError: non-finite subgradient"] * 2
 
 
 def test_lowerbound_csv(tmp_path):
@@ -287,10 +302,11 @@ def test_emit_curve_contract():
     ["lowerbound", "--family", "sc", "--d", "2", "--T", "4", "--config"],
     ["verify", "--family", "sc", "--d", "2", "--T", "4", "--tol", "nan"],
     ["sweep", "--family", "sc", "--d", "2", "--T", "4", "--tol", "nan"],
+    ["sweep", "--family", "sc", "--d", "0,2", "--T", "4", "--jobs", "2"],
 ], ids=["walk-n0", "certify-samples0", "mc-T0", "mc-trials50", "mc-x0-outside",
         "lowerbound-d-above-T", "out-missing-dir", "sweep-empty-grid",
         "config-missing", "config-line-without-equals", "config-without-path",
-        "verify-tol-nan", "sweep-tol-nan"])
+        "verify-tol-nan", "sweep-tol-nan", "sweep-d0-jobs2"])
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     badcfg = tmp_path / "bad.cfg"
     badcfg.write_text("family sc\n")

@@ -7,8 +7,9 @@ file values.  The default worker count honors the LASTITER_JOBS environment
 variable.  Exit status: 0 when every embedded check passes, 1 with a
 machine-readable failure report on stderr otherwise, 2 for usage errors
 (an input too large to fit in memory is one).  A sweep checks its inputs
-before any job runs; a job that then raises anything but ``MemoryError``
-becomes a failing row whose report carries the error text.
+before any job runs; a job that then raises anything but ``MemoryError``,
+or whose worker process dies under ``--jobs``, becomes a failing row whose
+report carries the error text.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -89,10 +91,29 @@ def _sweep_point(job) -> dict:
     except MemoryError:
         raise           # an input too large for memory: main exits 2
     except Exception as exc:
-        family, d, T = job[:3]
-        return {"family": family, "d": d, "T": T, "final_value": None, "bound": None,
-                "ratio": None, "max_deviation": None, "first_mismatch": None,
-                "divergences": None, "pass": False, "error": f"{type(exc).__name__}: {exc}"}
+        return _failing_row(job, exc)
+
+
+def _failing_row(job, exc: BaseException) -> dict:
+    family, d, T = job[:3]
+    return {"family": family, "d": d, "T": T, "final_value": None, "bound": None,
+            "ratio": None, "max_deviation": None, "first_mismatch": None,
+            "divergences": None, "pass": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _pool_sweep(jobs: list, workers: int) -> list[dict]:
+    """:func:`_sweep_point` over the jobs in worker processes, one future per
+    job, results in job order.  When a worker dies (the pool breaks), each
+    job without a result becomes a failing row carrying that error."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_sweep_point, job) for job in jobs]
+        results = []
+        for job, fut in zip(jobs, futures):
+            try:
+                results.append(fut.result())
+            except BrokenProcessPool as exc:
+                results.append(_failing_row(job, exc))
+    return results
 
 
 _CURVE_VALUES = ("final_suboptimality", "bound")
@@ -212,8 +233,7 @@ def cmd_sweep(args) -> int:
     for family, d, T, *_ in jobs:
         cons.build_instance(family, d, T)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_point, jobs))
+        results = _pool_sweep(jobs, args.jobs)
     else:
         results = [_sweep_point(j) for j in jobs]
 

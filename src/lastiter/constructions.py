@@ -31,8 +31,12 @@ and 1/(32 sqrt(T)) respectively.
 Verification compares the engine's iterates with closed-form row blocks:
 each streamed iterate as a one-row block (``verify_instance``, memory
 O(T + d)), or a recorded trace in blocks of ``engine.VALUE_BLOCK`` floats
-(``verify_trajectory``).  The sampled Lipschitz and strong-convexity
-certificates evaluate their pairs in blocks of the same size.
+(``verify_trajectory``).  A quiet row's deviation is max|x_t|, and a
+streamed iterate the engine yields again reuses its deviation, so a quiet
+step does no arithmetic.  The oracle computes pieces only up to the last nonzero
+column of its input.  The sampled Lipschitz and strong-convexity
+certificates evaluate their pairs in blocks of the same size, in buffers
+allocated once per check.
 """
 
 from __future__ import annotations
@@ -147,24 +151,50 @@ def build_instance(family: str, d: int, T: int) -> AdversarialInstance:
     return AdversarialInstance(family, d, T, shared_slopes=slopes, depths=depths)
 
 
-def piece_values(inst: AdversarialInstance, x: np.ndarray) -> np.ndarray:
+def piece_values(inst: AdversarialInstance, x: np.ndarray, w: int | None = None,
+                 out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
     """Values of all d+2 pieces at x, a single point or an (n, d) batch, in
     O(d) per point: with S_k = sum_{j<=k} a_j x_j and S_0 = 0, piece 0 is 0,
     piece i in 1..d is S_{i-1} - b_i x_i and piece d+1 is S_d.
 
     One output buffer holds everything: columns 1..d+1 get [0, a_1 x_1, ...,
     a_d x_d] and an in-place cumulative sum turns them into S_0..S_d.  The
-    sum starts from S_0 = +0.0, so an all -0.0 prefix gives S_k = +0.0."""
+    sum starts from S_0 = +0.0, so S_k is never -0.0 (an all -0.0 prefix
+    gives S_k = +0.0).
+
+    With ``w < d`` the caller vouches that the columns past w are ±0.0, and
+    only pieces 0..w+1 are computed (w+2 columns): each of the pieces
+    w+1..d+1 is then S_w - b_i (±0.0) or S_w, which is S_w bit for bit
+    because S_w is never -0.0.  The quadratic term still sums over the full
+    row.  ``out`` (shape ``x.shape[:-1] + (w+2,)``) and ``tmp`` (x's shape
+    cut to w columns) are optional buffers for callers that reuse them."""
     x = np.asarray(x, dtype=float)
-    vals = np.empty(x.shape[:-1] + (inst.d + 2,))
+    w = inst.d if w is None else w
+    xw, lead = x[..., :w], x.shape[:-1]
+    vals = np.empty(lead + (w + 2,)) if out is None else out
+    tmp = np.empty(lead + (w,)) if tmp is None else tmp
     vals[..., :2] = 0.0
-    np.multiply(inst.shared_slopes, x, out=vals[..., 2:])
+    np.multiply(inst.shared_slopes[:w], xw, out=vals[..., 2:])
     S = vals[..., 1:]
     np.add.accumulate(S, axis=-1, out=S)   # np.cumsum without its Python wrapper
-    vals[..., 1:-1] -= inst.depths * x
+    np.multiply(inst.depths[:w], xw, out=tmp)
+    np.subtract(vals[..., 1:-1], tmp, out=vals[..., 1:-1])
     if inst.quadratic:
-        vals += (0.5 * np.add.reduce(x * x, axis=-1))[..., None]
+        # the row sums' bits follow the layout of x*x, which tmp matches
+        # only for a full-width C-contiguous x
+        sq = np.multiply(x, x, out=tmp) if w == inst.d and x.flags.c_contiguous else x * x
+        vals += (0.5 * np.add.reduce(sq, axis=-1))[..., None]
     return vals
+
+
+def _support(x: np.ndarray) -> int:
+    """Width of the leading columns of x, a point or a (k, d) block, that
+    hold all of its nonzeros (NaN counts as one, ±0.0 does not)."""
+    nz = x != 0
+    if nz.ndim == 2:
+        nz = nz.any(axis=0)
+    zeros_after = int(nz[::-1].argmax())
+    return nz.size - zeros_after if nz[-1 - zeros_after] else 0
 
 
 #: how far past the unit ball f may still be evaluated (rounding slack)
@@ -198,7 +228,8 @@ class AdversarialOracle:
 
     Returns one shared read-only zero vector for the first T-d steps;
     afterwards returns the gradient of the lowest active piece other than
-    the base piece (plus x for the strongly convex family).  On the
+    the base piece (plus x for the strongly convex family), found among
+    the pieces up to the last nonzero column of x.  On the
     intended trajectory that piece index equals t - (T-d); any disagreement
     is recorded in ``self.divergences`` as (t, expected, got) so drift is
     observable.
@@ -216,11 +247,12 @@ class AdversarialOracle:
 
     def value(self, X) -> np.ndarray:
         """f at each row of a (k, d) block, which must lie in the unit ball
-        (the rule of :func:`eval_f`)."""
+        (the rule of :func:`eval_f`), from the pieces up to the block's
+        last nonzero column."""
         X = np.asarray(X, dtype=float)
         if np.count_nonzero(_row_norms(X) > _BALL_SLACK):
             raise ValueError(_OUTSIDE_BALL)
-        return piece_values(self.inst, X).max(axis=-1)
+        return piece_values(self.inst, X, _support(X)).max(axis=-1)
 
     def subgradient(self, x, t: int) -> np.ndarray:
         inst = self.inst
@@ -228,7 +260,9 @@ class AdversarialOracle:
             raise ValueError(f"step index {t} out of range 1..{inst.T}")
         if t <= inst.quiet_steps:
             return self._zero
-        vals = piece_values(inst, x)
+        x = np.asarray(x, dtype=float)
+        # pieces past the support all equal the last one computed
+        vals = piece_values(inst, x, _support(x))
         active = vals[1:] >= vals.max() - ACTIVE_TOL
         i = int(active.argmax()) + 1        # the first active piece above the base one
         if not active[i - 1]:
@@ -238,7 +272,7 @@ class AdversarialOracle:
         expected = t - inst.quiet_steps
         if i != expected:
             self.divergences.append((t, expected, i))
-        return _piece_grad(inst, i, np.asarray(x, dtype=float))
+        return _piece_grad(inst, i, x)
 
 
 def _harmonic_prefix(inst: AdversarialInstance) -> np.ndarray | None:
@@ -343,18 +377,31 @@ def _compare(inst: AdversarialInstance, blocks, tol: float, oracle=None) -> Veri
     """Max-norm comparison of x_1..x_{T+1}, given as consecutive (k, d) row
     blocks, with the closed form block by block, keeping only the T+1 row
     deviations and the oracle's divergences.  A NaN ``tol`` is rejected: no
-    deviation compares above it, so every run would pass."""
+    deviation compares above it, so every run would pass.
+
+    In the quiet prefix (t <= T-d+1) z_t is +0.0, so a row's deviation is
+    max|x_t| (x - (+0.0) is x, bit for bit), and no zero block is built; a
+    quiet block that is the same object as the one before it repeats its
+    deviations."""
     if np.isnan(tol):
         raise ValueError("tol must not be NaN")
     dev = np.empty(inst.T + 1)
     prefix = _harmonic_prefix(inst)
-    t = 1
+    last_quiet = inst.quiet_steps + 1
+    t, prev = 1, None
     for x in blocks:
-        t1 = t + x.shape[0]
-        z = _closed_form_block(inst, t, t1, prefix)
-        np.subtract(x, z, out=z)
-        np.maximum.reduce(np.abs(z, out=z), axis=1, out=dev[t - 1:t1 - 1])
-        t = t1
+        k = x.shape[0]
+        t1 = t + k
+        out = dev[t - 1:t1 - 1]
+        if t1 - 1 > last_quiet:
+            z = _closed_form_block(inst, t, t1, prefix)
+            np.subtract(x, z, out=z)
+            np.maximum.reduce(np.abs(z, out=z), axis=1, out=out)
+        elif x is prev:
+            out[:] = dev[t - 1 - k:t - 1]
+        else:
+            np.maximum.reduce(np.abs(x), axis=1, out=out)
+        t, prev = t1, x
     if t != inst.T + 2:
         raise ValueError(f"got {t - 1} iterates, expected T+1 = {inst.T + 1}")
     bad = np.flatnonzero(dev > tol)
@@ -391,11 +438,22 @@ def verify_instance(inst: AdversarialInstance, tol: float = 1e-9,
                     seed: int = 0) -> VerifyReport:
     """Run the engine as :func:`run_on_instance` does and check each iterate
     as it is produced, as a one-row block viewing it: no history, f only at
-    the final iterate, memory O(T + d).  The report carries the oracle's
-    divergences."""
+    the final iterate, memory O(T + d).  A quiet step does no arithmetic:
+    the engine yields the same iterate, and its deviation is reused.  The report
+    carries the oracle's divergences."""
     oracle = AdversarialOracle(inst)
     steps = sgd_steps(oracle, inst.feasible(), inst.schedule(), np.zeros(inst.d), inst.T, seed)
-    return _compare(inst, (x[None] for _, _, x in steps), tol, oracle)
+    return _compare(inst, _row_blocks(steps), tol, oracle)
+
+
+def _row_blocks(steps):
+    """Each iterate of an ``sgd_steps`` stream as a one-row view; an iterate
+    the engine yields again (a pass-through step) gives the same view."""
+    x = blk = None
+    for _, _, y in steps:
+        if y is not x:
+            x, blk = y, y[None]
+        yield blk
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -463,12 +521,17 @@ def check_lipschitz(inst: AdversarialInstance, L: float | None = None,
     # subgradient norms over all active pieces at the x-samples: the largest
     # squared norm per block (sc), or the columns active anywhere (otherwise)
     sq_max, active_cols = [], np.zeros(inst.d + 2, dtype=bool)
-    rows = _block_rows(inst.d)
+    rows = min(_block_rows(inst.d), samples)
+    # one block's buffers, sliced to each block
+    vals, tmp = np.empty((rows, inst.d + 2)), np.empty((rows, inst.d))
     for s in range(0, samples, rows):
         x, y, e = X[s:s + rows], Y[s:s + rows], slice(s, s + rows)
-        dist[e] = _row_norms(x - y)
-        fy[e] = piece_values(inst, y).max(axis=1)
-        vx = piece_values(inst, x)
+        v, m = vals[:len(x)], tmp[:len(x)]
+        np.subtract(x, y, out=m)
+        m *= m
+        dist[e] = np.sqrt(np.add.reduce(m, axis=1))   # _row_norms(x - y)
+        fy[e] = piece_values(inst, y, out=v, tmp=m).max(axis=1)
+        vx = piece_values(inst, x, out=v, tmp=m)
         fx[e] = vx.max(axis=1)
         act = vx >= fx[e, None] - ACTIVE_TOL
         if inst.quadratic:
@@ -517,18 +580,22 @@ def check_strong_convexity(inst: AdversarialInstance, alpha: float = 1.0,
     Y = sample_ball(rng, samples, inst.d)
 
     slack = np.empty(samples)
-    rows = _block_rows(inst.d)
+    rows = min(_block_rows(inst.d), samples)
+    # one block's buffers, sliced to each block
+    vals = np.empty((rows, inst.d + 2))
+    tmp, grads = np.empty((rows, inst.d)), np.empty((rows, inst.d))
     for s in range(0, samples, rows):
         x, y = X[s:s + rows], Y[s:s + rows]
-        fy = piece_values(inst, y).max(axis=1)
-        vx = piece_values(inst, x)
+        v, diff, G = vals[:len(x)], tmp[:len(x)], grads[:len(x)]
+        fy = piece_values(inst, y, out=v, tmp=diff).max(axis=1)
+        vx = piece_values(inst, x, out=v, tmp=diff)
         fx = vx.max(axis=1)
         first_active = np.argmax(vx >= fx[:, None] - ACTIVE_TOL, axis=1)
         # at most d+2 distinct pieces: build each row once, then gather
         pieces, which = np.unique(first_active, return_inverse=True)
-        G = np.array([_piece_row(inst, int(i)) for i in pieces])[which]
+        np.take(np.array([_piece_row(inst, int(i)) for i in pieces]), which, axis=0, out=G)
         G += x
-        diff = y - x
+        np.subtract(y, x, out=diff)
         G *= diff
         diff *= diff
         slack[s:s + rows] = (fy - fx - np.add.reduce(G, axis=1)

@@ -5,7 +5,10 @@ a step-size schedule evaluated once per run, and a first-order oracle
 queried exactly once per step with the current point (or batch of points)
 and the 1-based step index.  Everything downstream (worst-case
 constructions, grid random walks, Monte Carlo studies) runs through the one
-kernel :func:`sgd_steps`; only :func:`run_sgd` keeps a history.
+kernel :func:`sgd_steps`; only :func:`run_sgd` keeps a history.  A step
+whose answer is all +0.0 at a point the ball projection passed through
+does no arithmetic: the same array is yielded again (see :func:`sgd_steps`),
+so the long quiet prefix of a worst-case run costs one scan of each answer.
 
 An oracle is any object with
 
@@ -104,13 +107,15 @@ class Ball:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Nearest point of the ball: x * min(1, radius/||x||).  Single
-        points only; a (B, d) batch raises ValueError."""
+        points only; a (B, d) batch raises ValueError.  A point inside the
+        ball comes back as the input array itself (after ``np.asarray``),
+        not a copy, so the caller can tell that nothing moved."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ValueError(f"Ball projects single points, got shape {x.shape}")
         nrm = euclidean_norm(x)
         if nrm <= self.radius:
-            return x.copy()
+            return x
         return x * (self.radius / nrm)
 
     def contains(self, x, tol: float = 1e-12) -> bool:
@@ -119,7 +124,8 @@ class Ball:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] as a one-dimensional feasible set."""
+    """Closed interval [lo, hi] as a one-dimensional feasible set.  Its
+    projection always returns a new array."""
 
     lo: float
     hi: float
@@ -176,6 +182,15 @@ def sgd_steps(oracle, feasible, schedule: StepSchedule, x1, T: int,
     the oracle has one) as the first item is requested.  The step counter
     passed to the oracle is 1-based, so oracles whose behavior depends on
     the step index (e.g. ones that sleep and then kick) need no hidden state.
+
+    Pass-through: when the last projection returned its input itself (a
+    point inside a :class:`Ball`) and the oracle answers all +0.0, then
+    x - eta*g and its projection are x, bit for bit, so the same array is
+    yielded again with no arithmetic.  The bit test that detects the zero
+    answer also rules out a non-finite one.  -0.0 entries do not qualify
+    (x - eta*(-0.0) turns a -0.0 coordinate into +0.0), x_1 is always
+    projected at step 1, and an :class:`Interval` projection never returns
+    its input, so the one-dimensional paths never make the test.
     """
     x = np.atleast_1d(np.asarray(x1, dtype=float)).copy()
     if x.ndim not in (1, 2) or x.shape[-1] != feasible.dim:
@@ -191,15 +206,20 @@ def sgd_steps(oracle, feasible, schedule: StepSchedule, x1, T: int,
         oracle.reset(seed)
 
     yield 0, None, x
+    y = None    # the last projection's input: x is y when it passed through
     for t, eta in enumerate(etas, start=1):
         g = np.asarray(oracle.subgradient(x, t), dtype=float)
         if g.ndim == 0:
             g = g.reshape(1)
         if g.shape != x.shape:
             raise ValueError(f"oracle returned shape {g.shape}, expected {x.shape}")
+        if x is y and not np.count_nonzero(g.view(np.uint64)):
+            yield t, g, x                               # all +0.0: x stays put
+            continue
         if np.count_nonzero(np.isfinite(g)) != g.size:  # skips ndarray.all's Python wrapper
             raise ValueError(f"oracle returned a non-finite subgradient at step {t}")
-        x = feasible.project(x - eta * g)
+        y = x - eta * g
+        x = feasible.project(y)
         yield t, g, x
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -62,6 +63,33 @@ def test_sweep_job_exception_is_a_failing_row(jobs, tmp_path, monkeypatch, capsy
     assert row == {"family": "sc", "d": 4, "T": 64, "max_deviation": None,
                    "first_mismatch": None, "divergences": None, "pass": False,
                    "error": "ValueError: x lies outside the unit ball"}
+
+
+def test_sweep_dead_worker_is_a_failing_row(tmp_path, monkeypatch, capsys):
+    # one forked worker exits without raising, which breaks the pool; the grid
+    # is still written, the dead job's row carries the pool's error, and any
+    # other job either finished or was lost with the pool
+    real = cli._verify_point
+
+    def dying(job):
+        if job[1] == 8:
+            os._exit(3)
+        return real(job)
+
+    monkeypatch.setattr(cli, "_verify_point", dying)
+    out, curve = tmp_path / "s.csv", tmp_path / "c.csv"
+    code = run(["sweep", "--family", "sc", "--d", "2,4,8", "--T", "64", "--jobs", "2",
+                "--curve-out", str(curve), "--out", str(out)])
+    assert code == 1
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["2", "4", "8"]
+    assert rows[2][3:] == ["", "", "", "False"]
+    failures = json.loads(capsys.readouterr().err)["failures"]
+    assert failures[-1]["d"] == 8
+    assert all(f["error"].startswith("BrokenProcessPool: ") for f in failures)
+    lost = {f["d"] for f in failures}
+    assert all(r[6] == "True" for r in rows if int(r[1]) not in lost)
+    assert curve.read_text().splitlines()[0] == "d,final_suboptimality,bound"
 
 
 def test_sweep_all_jobs_failing_leaves_a_header_only_curve(tmp_path, monkeypatch, capsys):

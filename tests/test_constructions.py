@@ -170,6 +170,94 @@ def test_quiet_steps_share_one_read_only_zero(family):
     assert not trace.gradients[:inst.quiet_steps].view(np.uint64).any()
 
 
+# ------------------------------------------------ support-truncated pieces
+# The oracle evaluates pieces only up to the last nonzero column of its
+# input; the reference computes every piece at full width.  All comparisons
+# are on raw bits.
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class FullWidthOracle(cons.AdversarialOracle):
+    """The adversarial oracle with all d+2 pieces computed at every query."""
+
+    def value(self, X):
+        return cons.piece_values(self.inst, np.asarray(X, dtype=float)).max(axis=-1)
+
+    def subgradient(self, x, t):
+        inst = self.inst
+        if t <= inst.quiet_steps:
+            return self._zero
+        x = np.asarray(x, dtype=float)
+        vals = cons.piece_values(inst, x)
+        active = vals[1:] >= vals.max() - cons.ACTIVE_TOL
+        i = int(active.argmax()) + 1
+        if not active[i - 1]:
+            raise RuntimeError("no active piece above the base one")
+        if i != t - inst.quiet_steps:
+            self.divergences.append((t, t - inst.quiet_steps, i))
+        return cons._piece_grad(inst, i, x)
+
+
+def _trailing_zero_points(d, seed):
+    """Ball points whose columns past a support width w are +0.0, -0.0 or a
+    mix, for w = 0, 1, d//2, d-1 and d, with a -0.0 inside the support too."""
+    rng = np.random.default_rng(seed)
+    base = cons.sample_ball(rng, 1, d)[0]
+    out = []
+    for w in sorted({0, 1, d // 2, d - 1, d}):
+        for tail in (0.0, -0.0, None):
+            x = base.copy()
+            x[w:] = np.where(rng.random(d - w) < 0.5, 0.0, -0.0) if tail is None else tail
+            if w >= 3:
+                x[w // 2] = -0.0
+            out.append(x)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 8, 257])
+def test_truncated_value_and_kick_match_full_width(family, d):
+    inst = cons.build_instance(family, d, 2 * d)
+    X = _trailing_zero_points(d, d)
+    got, ref = cons.AdversarialOracle(inst), FullWidthOracle(inst)
+    assert np.array_equal(_bits(got.value(X)), _bits(ref.value(X)))
+    for k in range(len(X)):
+        assert np.array_equal(_bits(got.value(X[k:k + 3])), _bits(ref.value(X[k:k + 3])))
+    for t in range(inst.quiet_steps + 1, inst.T + 1, max(1, d // 4)):
+        for x in X:
+            try:
+                want = ref.subgradient(x, t)
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    got.subgradient(x, t)
+                continue
+            assert np.array_equal(_bits(got.subgradient(x, t)), _bits(want))
+    assert got.divergences == ref.divergences and got.divergences
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+@pytest.mark.parametrize("d, T", [(1, 1), (1, 5), (4, 4), (8, 8), (8, 40), (257, 300)])
+def test_truncated_runs_match_full_width(family, d, T):
+    # d = T has no quiet step and T = 1 a single one; the second start leaves
+    # the intended trajectory, so the oracle logs divergences
+    inst = cons.build_instance(family, d, T)
+    x1 = np.zeros(d)
+    x1[: (d + 1) // 2] = 0.5 / np.sqrt(d)
+    x1[(d + 1) // 2:] = -0.0
+    for start in (np.zeros(d), x1):
+        got, ref = cons.AdversarialOracle(inst), FullWidthOracle(inst)
+        a = run_sgd(got, inst.feasible(), inst.schedule(), start, T)
+        b = run_sgd(ref, inst.feasible(), inst.schedule(), start, T)
+        for name in ("iterates", "gradients", "values"):
+            assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name))), name
+        assert got.divergences == ref.divergences
+    assert got.divergences            # logged on the second start
+    rep = cons.verify_instance(inst)
+    assert rep.passed and rep.divergences == []
+
+
 def test_oracle_step_index_range():
     inst = cons.build_instance("sc", 2, 4)
     orc = cons.AdversarialOracle(inst)
@@ -257,6 +345,30 @@ def test_verify_trajectory_pass_and_tamper():
     trace.iterates[4, 0] += 1e-3
     bad = cons.verify_trajectory(inst, trace, tol=1e-9)
     assert not bad.passed and bad.first_mismatch == 5
+
+
+def test_quiet_deviations_and_repeated_rows():
+    # quiet rows (z = +0.0) are compared as max|x|; a block that is the same
+    # object as the one before reuses its deviations only in the quiet prefix
+    inst = cons.build_instance("lip-fixed", 8, 40)
+    q, T = inst.quiet_steps, inst.T
+    trace = cons.run_on_instance(inst)
+    X = trace.iterates
+    X[2, 5] = -2e-6                   # x_3
+    X[19, 7] = -0.0                   # x_20
+    X[q, 0] = -3e-6                   # x_{q+1}, the last quiet row
+    X[q + 3] = X[q + 2]               # x_{q+4} repeats x_{q+3}
+    dev = np.array([np.abs(x - cons.closed_form_iterate(inst, t)).max()
+                    for t, x in enumerate(X, start=1)])
+    zero = np.zeros((1, inst.d))
+    blocks = [zero if t in range(3, q) and t != 19 else X[t:t + 1] for t in range(T + 1)]
+    blocks[q + 3] = blocks[q + 2]     # the same object, in the kicked part
+    for rep in (cons.verify_trajectory(inst, trace), cons._compare(inst, blocks, 1e-9)):
+        assert rep.first_mismatch == 3 and not rep.passed
+        assert _bits(rep.max_deviation) == _bits(dev.max())
+    rep = cons._compare(inst, blocks, 1.0)
+    assert rep.passed and _bits(rep.max_deviation) == _bits(dev.max())
+    assert dev[q + 3] > 1e-3          # so a reused deviation would show
 
 
 def test_verify_trajectory_length_mismatch():

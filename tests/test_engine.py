@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -243,6 +244,117 @@ def test_feasibility_under_forced_projections():
                      np.zeros(2), T=20)
     norms = np.linalg.norm(tr.iterates, axis=1)
     assert np.all(norms <= ball.radius * (1 + 1e-15))
+
+
+# ------------------------------------------------------------ pass-through
+# A step whose answer is all +0.0 at a point the ball projection passed
+# through yields the same array again.  The reference is the plain step
+# project(x - eta*g) on a copy, compared on raw bits.
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class ScriptOracle(ZeroOracle):
+    """Answers the t-th entry of a script (zeros past its end) and logs
+    every call."""
+
+    def __init__(self, script, d):
+        self.script, self.d, self.calls = script, d, []
+
+    def subgradient(self, x, t):
+        self.calls.append(t)
+        return np.array(self.script[t - 1] if t <= len(self.script) else np.zeros(self.d),
+                        dtype=float)
+
+
+def _reference_steps(script, ball, schedule, x1, T):
+    etas = schedule._sizes(np.arange(1, T + 1))
+    x, out = np.array(x1, dtype=float), []
+    for t in range(1, T + 1):
+        g = np.array(script[t - 1] if t <= len(script) else np.zeros(ball.dim), dtype=float)
+        x = np.asarray(ball.project((x - etas[t - 1] * g).copy()), dtype=float).copy()
+        out.append(x)
+    return out
+
+
+def test_pass_through_yields_the_same_array_at_a_fixed_point():
+    oracle = ScriptOracle([], 3)
+    steps = list(eng.sgd_steps(oracle, eng.Ball(1.0, 3), eng.StepSchedule("inv_t"),
+                               np.array([0.25, -0.0, 0.5]), T=6))
+    xs = [x for _, _, x in steps]
+    assert xs[1] is not xs[0]       # step 1 always projects
+    assert all(x is xs[1] for x in xs[2:])
+    assert oracle.calls == [1, 2, 3, 4, 5, 6]
+    for x in xs:
+        assert np.array_equal(_bits(x), _bits([0.25, -0.0, 0.5]))
+
+
+def test_pass_through_matches_the_plain_step_signed_zeros_included():
+    # -0.0 coordinates survive +0.0 answers; a -0.0 answer is not a
+    # pass-through (x - eta*(-0.0) turns -0.0 into +0.0); moves in between
+    ball, sched, T = eng.Ball(1.0, 3), eng.StepSchedule("inv_sqrt_t"), 12
+    z, m = [0.0, 0.0, 0.0], [0.0, -0.0, 0.0]
+    script = [z, z, [0.5, 0.0, -0.25], z, z, m, z, [-0.0, -0.0, -0.0], z, [0.0, 3.0, 0.0], z]
+    x1 = np.array([-0.0, -0.0, 0.125])
+    got = [x.copy() for _, _, x in eng.sgd_steps(ScriptOracle(script, 3), ball, sched, x1, T)]
+    want = [x1] + _reference_steps(script, ball, sched, x1, T)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
+    assert np.signbit(got[2][:2]).all()           # -0.0 kept by +0.0 answers
+    assert got[5][1] == 0.0 and np.signbit(got[5][1])
+    assert got[6][1] == 0.0 and not np.signbit(got[6][1])   # after the -0.0 answer
+
+
+def test_x1_inside_only_by_the_slack_is_projected_at_step_1():
+    ball = eng.Ball(1.0, 2)
+    x1 = np.array([1.0 + 5e-13, 0.0])
+    assert ball.contains(x1) and eng.euclidean_norm(x1) > 1.0
+    xs = [x for _, _, x in eng.sgd_steps(ScriptOracle([], 2), ball,
+                                          eng.StepSchedule("inv_t"), x1, T=3)]
+    assert np.array_equal(_bits(xs[1]), _bits(x1 * (1.0 / eng.euclidean_norm(x1))))
+    assert eng.euclidean_norm(xs[1]) <= 1.0
+    # a scaled point is a new array, so the next step computes once more
+    assert np.array_equal(_bits(xs[2]), _bits(xs[1])) and xs[3] is xs[2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_answer_after_zeros_raises_at_its_step(bad):
+    script = [[0.0, 0.0]] * 4 + [[0.0, bad]]
+    oracle = ScriptOracle(script, 2)
+    steps = eng.sgd_steps(oracle, eng.Ball(1.0, 2), eng.StepSchedule("inv_t"),
+                          np.zeros(2), T=8)
+    assert [t for t, _, _ in itertools.islice(steps, 5)] == [0, 1, 2, 3, 4]
+    with pytest.raises(ValueError, match="non-finite subgradient at step 5"):
+        next(steps)
+    assert oracle.calls == [1, 2, 3, 4, 5]
+
+
+def test_one_oracle_call_per_step_with_pass_through():
+    oracle = ScriptOracle([[0.0, 0.0]] * 3 + [[0.1, 0.0]], 2)
+    tr = eng.run_sgd(oracle, eng.Ball(1.0, 2), eng.StepSchedule("inv_t"),
+                     np.array([0.0, -0.0]), T=9)
+    assert oracle.calls == list(range(1, 10))
+    assert np.array_equal(_bits(tr.gradients[3]), _bits([0.1, 0.0]))
+
+
+def test_ball_project_returns_an_inside_point_itself():
+    ball = eng.Ball(0.5, 4)
+    x = np.array([0.25, -0.0, -0.25, 0.0])
+    bits = _bits(x).copy()
+    assert ball.project(x) is x
+    assert np.array_equal(_bits(x), bits)
+    edge = np.array([0.5, 0.0, -0.0, 0.0])           # on the sphere: inside
+    assert ball.project(edge) is edge
+    outside = np.array([0.5, 1e-6, 0.0, 0.0])
+    px = ball.project(outside)
+    assert px is not outside and eng.euclidean_norm(px) <= 0.5
+    listed = ball.project([0.25, -0.0, 0.0, 0.0])   # a list becomes a new float array
+    assert np.array_equal(_bits(listed), _bits([0.25, -0.0, 0.0, 0.0]))
+    # an Interval projection never returns its input
+    iv, y = eng.Interval(-1.0, 1.0), np.array([0.5])
+    assert iv.project(y) is not y
 
 
 # ------------------------------------------------------- averages and CSV

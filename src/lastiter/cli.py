@@ -104,15 +104,20 @@ def _failing_row(job, exc: BaseException) -> dict:
 def _pool_sweep(jobs: list, workers: int) -> list[dict]:
     """:func:`_sweep_point` over the jobs in worker processes, one future per
     job, results in job order.  When a worker dies (the pool breaks), each
-    job without a result becomes a failing row carrying that error."""
+    job without a result becomes a failing row carrying that error.  Any
+    other exception cancels the jobs not yet started before it propagates."""
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_sweep_point, job) for job in jobs]
         results = []
-        for job, fut in zip(jobs, futures):
-            try:
-                results.append(fut.result())
-            except BrokenProcessPool as exc:
-                results.append(_failing_row(job, exc))
+        try:
+            for job, fut in zip(jobs, futures):
+                try:
+                    results.append(fut.result())
+                except BrokenProcessPool as exc:
+                    results.append(_failing_row(job, exc))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return results
 
 

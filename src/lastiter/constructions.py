@@ -33,10 +33,11 @@ each streamed iterate as a one-row block (``verify_instance``, memory
 O(T + d)), or a recorded trace in blocks of ``engine.VALUE_BLOCK`` floats
 (``verify_trajectory``).  A quiet row's deviation is max|x_t|, and a
 streamed iterate the engine yields again reuses its deviation, so a quiet
-step does no arithmetic.  The oracle computes pieces only up to the last nonzero
-column of its input.  The sampled Lipschitz and strong-convexity
-certificates evaluate their pairs in blocks of the same size, in buffers
-allocated once per check.
+step does no arithmetic.  The oracle computes pieces only up to the last
+nonzero column of its input (in a kicked step, up to where the intended
+trajectory's support ends, when x is zero past it).  The sampled Lipschitz
+and strong-convexity certificates evaluate their pairs in blocks of the same
+size.
 """
 
 from __future__ import annotations
@@ -151,8 +152,7 @@ def build_instance(family: str, d: int, T: int) -> AdversarialInstance:
     return AdversarialInstance(family, d, T, shared_slopes=slopes, depths=depths)
 
 
-def piece_values(inst: AdversarialInstance, x: np.ndarray, w: int | None = None,
-                 out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+def piece_values(inst: AdversarialInstance, x: np.ndarray, w: int | None = None) -> np.ndarray:
     """Values of all d+2 pieces at x, a single point or an (n, d) batch, in
     O(d) per point: with S_k = sum_{j<=k} a_j x_j and S_0 = 0, piece 0 is 0,
     piece i in 1..d is S_{i-1} - b_i x_i and piece d+1 is S_d.
@@ -166,24 +166,18 @@ def piece_values(inst: AdversarialInstance, x: np.ndarray, w: int | None = None,
     only pieces 0..w+1 are computed (w+2 columns): each of the pieces
     w+1..d+1 is then S_w - b_i (±0.0) or S_w, which is S_w bit for bit
     because S_w is never -0.0.  The quadratic term still sums over the full
-    row.  ``out`` (shape ``x.shape[:-1] + (w+2,)``) and ``tmp`` (x's shape
-    cut to w columns) are optional buffers for callers that reuse them."""
+    row."""
     x = np.asarray(x, dtype=float)
     w = inst.d if w is None else w
-    xw, lead = x[..., :w], x.shape[:-1]
-    vals = np.empty(lead + (w + 2,)) if out is None else out
-    tmp = np.empty(lead + (w,)) if tmp is None else tmp
+    xw = x[..., :w]
+    vals = np.empty(x.shape[:-1] + (w + 2,))
     vals[..., :2] = 0.0
     np.multiply(inst.shared_slopes[:w], xw, out=vals[..., 2:])
     S = vals[..., 1:]
     np.add.accumulate(S, axis=-1, out=S)   # np.cumsum without its Python wrapper
-    np.multiply(inst.depths[:w], xw, out=tmp)
-    np.subtract(vals[..., 1:-1], tmp, out=vals[..., 1:-1])
+    vals[..., 1:-1] -= inst.depths[:w] * xw
     if inst.quadratic:
-        # the row sums' bits follow the layout of x*x, which tmp matches
-        # only for a full-width C-contiguous x
-        sq = np.multiply(x, x, out=tmp) if w == inst.d and x.flags.c_contiguous else x * x
-        vals += (0.5 * np.add.reduce(sq, axis=-1))[..., None]
+        vals += (0.5 * np.add.reduce(x * x, axis=-1))[..., None]
     return vals
 
 
@@ -228,11 +222,11 @@ class AdversarialOracle:
 
     Returns one shared read-only zero vector for the first T-d steps;
     afterwards returns the gradient of the lowest active piece other than
-    the base piece (plus x for the strongly convex family), found among
-    the pieces up to the last nonzero column of x.  On the
-    intended trajectory that piece index equals t - (T-d); any disagreement
-    is recorded in ``self.divergences`` as (t, expected, got) so drift is
-    observable.
+    the base piece (plus x for the strongly convex family).  On the
+    intended trajectory that piece index equals t - (T-d), and x is ±0.0
+    from column t - (T-d) on, so only the pieces up to there are computed
+    when one count confirms it.  Any disagreement is recorded in
+    ``self.divergences`` as (t, expected, got) so drift is observable.
     """
 
     def __init__(self, inst: AdversarialInstance):
@@ -261,15 +255,20 @@ class AdversarialOracle:
         if t <= inst.quiet_steps:
             return self._zero
         x = np.asarray(x, dtype=float)
-        # pieces past the support all equal the last one computed
-        vals = piece_values(inst, x, _support(x))
+        expected = t - inst.quiet_steps
+        # on the intended trajectory x_t is ±0.0 past column expected-1, and
+        # one count confirms it; the pieces past it then all equal the last
+        # one computed
+        w = expected - 1
+        if np.count_nonzero(x[w:]):
+            w = inst.d
+        vals = piece_values(inst, x, w)
         active = vals[1:] >= vals.max() - ACTIVE_TOL
         i = int(active.argmax()) + 1        # the first active piece above the base one
         if not active[i - 1]:
             raise RuntimeError(
                 f"no active piece above the base one at step {t}; "
                 "the trajectory left the analyzed region")
-        expected = t - inst.quiet_steps
         if i != expected:
             self.divergences.append((t, expected, i))
         return _piece_grad(inst, i, x)
@@ -439,8 +438,8 @@ def verify_instance(inst: AdversarialInstance, tol: float = 1e-9,
     """Run the engine as :func:`run_on_instance` does and check each iterate
     as it is produced, as a one-row block viewing it: no history, f only at
     the final iterate, memory O(T + d).  A quiet step does no arithmetic:
-    the engine yields the same iterate, and its deviation is reused.  The report
-    carries the oracle's divergences."""
+    the engine yields the same iterate, and its deviation is reused.  The
+    report carries the oracle's divergences."""
     oracle = AdversarialOracle(inst)
     steps = sgd_steps(oracle, inst.feasible(), inst.schedule(), np.zeros(inst.d), inst.T, seed)
     return _compare(inst, _row_blocks(steps), tol, oracle)
@@ -521,17 +520,12 @@ def check_lipschitz(inst: AdversarialInstance, L: float | None = None,
     # subgradient norms over all active pieces at the x-samples: the largest
     # squared norm per block (sc), or the columns active anywhere (otherwise)
     sq_max, active_cols = [], np.zeros(inst.d + 2, dtype=bool)
-    rows = min(_block_rows(inst.d), samples)
-    # one block's buffers, sliced to each block
-    vals, tmp = np.empty((rows, inst.d + 2)), np.empty((rows, inst.d))
+    rows = _block_rows(inst.d)
     for s in range(0, samples, rows):
         x, y, e = X[s:s + rows], Y[s:s + rows], slice(s, s + rows)
-        v, m = vals[:len(x)], tmp[:len(x)]
-        np.subtract(x, y, out=m)
-        m *= m
-        dist[e] = np.sqrt(np.add.reduce(m, axis=1))   # _row_norms(x - y)
-        fy[e] = piece_values(inst, y, out=v, tmp=m).max(axis=1)
-        vx = piece_values(inst, x, out=v, tmp=m)
+        dist[e] = _row_norms(x - y)
+        fy[e] = piece_values(inst, y).max(axis=1)
+        vx = piece_values(inst, x)
         fx[e] = vx.max(axis=1)
         act = vx >= fx[e, None] - ACTIVE_TOL
         if inst.quadratic:
@@ -580,22 +574,18 @@ def check_strong_convexity(inst: AdversarialInstance, alpha: float = 1.0,
     Y = sample_ball(rng, samples, inst.d)
 
     slack = np.empty(samples)
-    rows = min(_block_rows(inst.d), samples)
-    # one block's buffers, sliced to each block
-    vals = np.empty((rows, inst.d + 2))
-    tmp, grads = np.empty((rows, inst.d)), np.empty((rows, inst.d))
+    rows = _block_rows(inst.d)
     for s in range(0, samples, rows):
         x, y = X[s:s + rows], Y[s:s + rows]
-        v, diff, G = vals[:len(x)], tmp[:len(x)], grads[:len(x)]
-        fy = piece_values(inst, y, out=v, tmp=diff).max(axis=1)
-        vx = piece_values(inst, x, out=v, tmp=diff)
+        fy = piece_values(inst, y).max(axis=1)
+        vx = piece_values(inst, x)
         fx = vx.max(axis=1)
         first_active = np.argmax(vx >= fx[:, None] - ACTIVE_TOL, axis=1)
         # at most d+2 distinct pieces: build each row once, then gather
         pieces, which = np.unique(first_active, return_inverse=True)
-        np.take(np.array([_piece_row(inst, int(i)) for i in pieces]), which, axis=0, out=G)
+        G = np.array([_piece_row(inst, int(i)) for i in pieces])[which]
         G += x
-        np.subtract(y, x, out=diff)
+        diff = y - x
         G *= diff
         diff *= diff
         slack[s:s + rows] = (fy - fx - np.add.reduce(G, axis=1)

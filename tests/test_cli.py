@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -277,6 +278,30 @@ def test_out_of_memory_is_a_usage_error(argv, message, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1] == f"lastiter: error: {message or 'out of memory'}"
+
+
+def test_out_of_memory_under_jobs_cancels_the_queued_jobs(tmp_path, monkeypatch, capsys):
+    # the first job runs out of memory; the jobs still queued behind it are
+    # cancelled, so only those already handed to a worker may still run
+    ran = tmp_path / "ran"
+
+    def first_out_of_memory(inst, *args, **kwargs):
+        with open(ran, "a") as fh:
+            fh.write(f"{inst.T}\n")
+        if inst.T == 4:
+            raise MemoryError("")
+        time.sleep(0.05)
+        return real(inst, *args, **kwargs)
+
+    real = cli.cons.verify_instance
+    monkeypatch.setattr(cli.cons, "verify_instance", first_out_of_memory)
+    T = [str(t) for t in range(4, 28)]
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--family", "sc", "--d", "2", "--T", ",".join(T), "--jobs", "2",
+             "--out", "-"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "lastiter: error: out of memory"
+    assert len(ran.read_text().split()) < len(T) // 2
 
 
 def test_usage_error_exit_code():

@@ -8,15 +8,14 @@ instances (`nearly_linear`).  The `cli` module exposes everything as
 subcommands.
 """
 
-from .engine import (Ball, Interval, SgdTrace, StepSchedule, run_sgd,
-                     running_average, sgd_steps, trace_to_csv)
+from .engine import (Ball, Interval, SgdTrace, StepSchedule, run_sgd, sgd_steps,
+                     trace_to_csv)
 from .constructions import (FAMILIES, LIPSCHITZ_DECREASING, LIPSCHITZ_FIXED,
                             STRONGLY_CONVEX, AdversarialInstance,
-                            AdversarialOracle, active_set, build_instance,
-                            check_lipschitz, check_strong_convexity,
-                            closed_form_iterate, dump_instance_csv, eval_f,
-                            lower_bound_value, run_on_instance, subgradient_at,
-                            verify_instance, verify_trajectory)
+                            AdversarialOracle, build_instance, check_lipschitz,
+                            check_strong_convexity, closed_form_iterate, eval_f,
+                            lower_bound_value, run_on_instance, verify_instance,
+                            verify_trajectory)
 from .walk import (WalkChain, chain_from_function, make_chain,
                    simulate_chain_sgd, stationary_closed_form,
                    stationary_solve, stationary_suboptimality,
@@ -27,13 +26,12 @@ from .nearly_linear import (GoodSet, NearlyLinearInstance, PathStats,
                             tail_estimate)
 
 __all__ = [
-    "Ball", "Interval", "SgdTrace", "StepSchedule", "run_sgd",
-    "running_average", "sgd_steps", "trace_to_csv",
+    "Ball", "Interval", "SgdTrace", "StepSchedule", "run_sgd", "sgd_steps",
+    "trace_to_csv",
     "FAMILIES", "LIPSCHITZ_DECREASING", "LIPSCHITZ_FIXED", "STRONGLY_CONVEX",
-    "AdversarialInstance", "AdversarialOracle", "active_set", "build_instance",
-    "check_lipschitz", "check_strong_convexity", "closed_form_iterate",
-    "dump_instance_csv", "eval_f", "lower_bound_value", "run_on_instance",
-    "subgradient_at", "verify_instance", "verify_trajectory",
+    "AdversarialInstance", "AdversarialOracle", "build_instance",
+    "check_lipschitz", "check_strong_convexity", "closed_form_iterate", "eval_f",
+    "lower_bound_value", "run_on_instance", "verify_instance", "verify_trajectory",
     "WalkChain", "chain_from_function", "make_chain", "simulate_chain_sgd",
     "stationary_closed_form", "stationary_solve", "stationary_suboptimality",
     "suboptimality_bound",

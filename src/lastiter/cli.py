@@ -1,15 +1,16 @@
 """Batch experiment runner.
 
-Subcommands: lowerbound, verify, certify, walk, mc, sweep.  Common flags:
---out PATH (default stdout), --format csv|json, --seed N, --jobs N.  A flat
-key=value config file can be passed with --config; explicit flags override
-file values.  The default worker count honors the LASTITER_JOBS environment
-variable.  Exit status: 0 when every embedded check passes, 1 with a
-machine-readable failure report on stderr otherwise, 2 for usage errors
-(an input too large to fit in memory is one).  A sweep checks its inputs
-before any job runs; a job that then raises anything but ``MemoryError``,
-or whose worker process dies under ``--jobs``, becomes a failing row whose
-report carries the error text.
+Subcommands: lowerbound, verify, certify, walk, mc, sweep.  Every one takes
+--out PATH (default stdout) and --config FILE, a flat key=value file whose
+values explicit flags override.  --format csv|json is taken by lowerbound,
+verify, walk and mc (certify writes JSON, sweep CSV), --seed N by certify
+and mc, and --jobs N by sweep; the default worker count honors the
+LASTITER_JOBS environment variable.  Exit status: 0 when every embedded
+check passes, 1 with a machine-readable failure report on stderr
+otherwise, 2 for usage errors (an input too large to fit in memory is
+one).  A sweep checks its inputs before any job runs; a job that then
+raises anything but ``MemoryError``, or whose worker process dies under
+``--jobs``, becomes a failing row whose report carries the error text.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def _closed_form_record(family: str, d: int, T: int) -> dict:
 
 
 def _verify_point(job) -> dict:
-    family, d, T, tol, seed = job
-    rep = cons.verify_instance(cons.build_instance(family, d, T), tol=tol, seed=seed)
+    family, d, T, tol = job
+    rep = cons.verify_instance(cons.build_instance(family, d, T), tol=tol)
     return {**rep.to_dict(), "ratio": rep.final_value / rep.bound,
             "pass": rep.passed and cons.beats_bound(rep.final_value, rep.bound, d)}
 
@@ -151,8 +152,8 @@ def cmd_verify(args) -> int:
     if args.dump_trace:
         from .engine import trace_to_csv
         inst = cons.build_instance(args.family, args.d, args.T)
-        trace_to_csv(cons.run_on_instance(inst, seed=args.seed), args.dump_trace)
-    rec = _verify_point((args.family, args.d, args.T, args.tol, args.seed))
+        trace_to_csv(cons.run_on_instance(inst), args.dump_trace)
+    rec = _verify_point((args.family, args.d, args.T, args.tol))
     if args.format == "csv":
         header = ["family", "d", "T", "max_deviation", "final_value", "bound", "pass"]
         _emit_csv(header, [tuple(rec[h] for h in header)], args.out)
@@ -228,14 +229,14 @@ def cmd_mc(args) -> int:
 
 def cmd_sweep(args) -> int:
     families = list(cons.FAMILIES) if args.family == "all" else [args.family]
-    jobs = [(family, d, T, args.tol, args.seed)
+    jobs = [(family, d, T, args.tol)
             for family in families for d in args.d for T in args.T if d <= T]
     if not jobs:
         raise ValueError("sweep grid is empty (no (d, T) pair with d <= T)")
     # usage errors surface here, before any job runs
     if math.isnan(args.tol):
         raise ValueError("tol must not be NaN")
-    for family, d, T, *_ in jobs:
+    for family, d, T, _ in jobs:
         cons.build_instance(family, d, T)
     if args.jobs > 1:
         results = _pool_sweep(jobs, args.jobs)
@@ -272,11 +273,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p, jobs=False):
+def _add_common(p, *, fmt=False, seed=False, jobs=False):
+    """--config and --out, and of --format, --seed and --jobs the ones the
+    subcommand reads."""
     p.add_argument("--config", help="flat key=value file; flags override it")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--seed", type=int, default=0)
+    if fmt:
+        p.add_argument("--format", choices=("csv", "json"), default="json")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     if jobs:
         # a string default goes through _positive_int too, so a bad
         # $LASTITER_JOBS is a usage error like a bad --jobs
@@ -295,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=cons.FAMILIES, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--T", type=int, required=True)
-    _add_common(p)
+    _add_common(p, fmt=True)
     p.set_defaults(func=cmd_lowerbound)
 
     p = sub.add_parser("verify", help="engine trajectory vs closed form")
@@ -304,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--dump-trace", default=None, help="also write the trace CSV here")
-    _add_common(p)
+    _add_common(p, fmt=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="sampled Lipschitz / strong convexity checks")
@@ -312,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--samples", type=int, default=10_000)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("walk", help="stationary analysis of the grid random walk")
@@ -322,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method",
                    choices=("closed_form", "linear_solve", "power_iteration"),
                    default="closed_form")
-    _add_common(p)
+    _add_common(p, fmt=True)
     p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("mc", help="Monte Carlo paths on a nearly linear instance")
@@ -335,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--x0", type=float, default=None, help="start point (default: right endpoint)")
     p.add_argument("--kmax", type=int, default=20)
-    _add_common(p)
+    _add_common(p, fmt=True, seed=True)
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("sweep", help="verify + bound over a (family, d, T) grid")

@@ -42,7 +42,6 @@ size.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,13 +90,6 @@ class AdversarialInstance:
     def quadratic(self) -> bool:
         """Whether every piece carries the common ||x||^2 / 2 term."""
         return self.family == STRONGLY_CONVEX
-
-    @property
-    def piece_grads(self) -> np.ndarray:
-        """Dense read-only (d+2, d) table of h_0..h_{d+1}, built on demand."""
-        h = np.array([_piece_row(self, i) for i in range(self.d + 2)])
-        h.setflags(write=False)
-        return h
 
     @property
     def lipschitz_constant(self) -> float:
@@ -202,19 +194,6 @@ def eval_f(inst: AdversarialInstance, x) -> float:
     if euclidean_norm(x) > _BALL_SLACK:
         raise ValueError(_OUTSIDE_BALL)
     return float(piece_values(inst, x).max())
-
-
-def active_set(inst: AdversarialInstance, x, tol: float = ACTIVE_TOL) -> np.ndarray:
-    """Indices of pieces within ``tol`` of the max at x, sorted ascending."""
-    vals = piece_values(inst, x)
-    return np.flatnonzero(vals >= np.max(vals) - tol)
-
-
-def subgradient_at(inst: AdversarialInstance, x) -> np.ndarray:
-    """A canonical subgradient at x: the lowest active piece's gradient
-    (plus x for the strongly convex family).  Valid at every point of the
-    ball, including where only the base piece is active."""
-    return _piece_grad(inst, int(active_set(inst, x)[0]), np.asarray(x, dtype=float))
 
 
 class AdversarialOracle:
@@ -342,11 +321,10 @@ def beats_bound(final_value: float, bound: float, d: int) -> bool:
     return bool(final_value > bound if d >= 2 else final_value >= bound)
 
 
-def run_on_instance(inst: AdversarialInstance, seed: int = 0) -> SgdTrace:
+def run_on_instance(inst: AdversarialInstance) -> SgdTrace:
     """Run the engine on an instance from x_1 = 0 with its family schedule."""
     oracle = AdversarialOracle(inst)
-    return run_sgd(oracle, inst.feasible(), inst.schedule(),
-                   np.zeros(inst.d), inst.T, seed=seed)
+    return run_sgd(oracle, inst.feasible(), inst.schedule(), np.zeros(inst.d), inst.T)
 
 
 @dataclass
@@ -433,15 +411,14 @@ def verify_trajectory(inst: AdversarialInstance, trace: SgdTrace,
     return _compare(inst, blocks, tol)
 
 
-def verify_instance(inst: AdversarialInstance, tol: float = 1e-9,
-                    seed: int = 0) -> VerifyReport:
+def verify_instance(inst: AdversarialInstance, tol: float = 1e-9) -> VerifyReport:
     """Run the engine as :func:`run_on_instance` does and check each iterate
     as it is produced, as a one-row block viewing it: no history, f only at
     the final iterate, memory O(T + d).  A quiet step does no arithmetic:
     the engine yields the same iterate, and its deviation is reused.  The
     report carries the oracle's divergences."""
     oracle = AdversarialOracle(inst)
-    steps = sgd_steps(oracle, inst.feasible(), inst.schedule(), np.zeros(inst.d), inst.T, seed)
+    steps = sgd_steps(oracle, inst.feasible(), inst.schedule(), np.zeros(inst.d), inst.T)
     return _compare(inst, _row_blocks(steps), tol, oracle)
 
 
@@ -597,15 +574,3 @@ def check_strong_convexity(inst: AdversarialInstance, alpha: float = 1.0,
     return CertificateReport(
         kind="strong_convexity", constant=alpha, samples=samples, seed=seed,
         worst=worst, worst_ratio=float("nan"), passed=passed, witness=witness)
-
-
-def dump_instance_csv(inst: AdversarialInstance, path) -> None:
-    """Write the piece-gradient table as CSV rows (i, j, h_value) with
-    `# family=`, `# d=`, `# T=` metadata lines up front."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# family={inst.family}\n")
-        fh.write(f"# d={inst.d}\n")
-        fh.write(f"# T={inst.T}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["i", "j", "h_value"])
-        w.writerows((i, j + 1, f"{v:.17g}") for (i, j), v in np.ndenumerate(inst.piece_grads))

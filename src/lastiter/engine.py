@@ -66,23 +66,20 @@ class StepSchedule:
             if self.value is None or not self.value > 0:
                 raise ValueError("constant schedule needs a positive value")
 
-    def eval(self, t: int) -> float:
-        """Step size at 1-based step t, computed exactly (no caching)."""
-        if t < 1:
-            raise ValueError(f"step index {t} out of range (must be >= 1)")
-        if self.horizon is not None and t > self.horizon:
-            raise ValueError(f"step index {t} exceeds horizon {self.horizon}")
-        return float(self._sizes(np.array([t]))[0])
-
-    def _sizes(self, t: np.ndarray) -> np.ndarray:
-        """Step sizes at an array of valid 1-based step indices."""
+    def sizes(self, T: int) -> np.ndarray:
+        """Step sizes eta_1..eta_T of a run of T steps, computed exactly."""
+        if T < 1:
+            raise ValueError("T must be >= 1")
+        if self.horizon is not None and T > self.horizon:
+            raise ValueError(f"T = {T} exceeds the schedule horizon {self.horizon}")
+        t = np.arange(1, T + 1)
         if self.kind == "inv_t":
             return 1.0 / t
         if self.kind == "inv_sqrt_t":
             return 1.0 / np.sqrt(t)
         if self.kind == "inv_sqrt_horizon":
-            return np.full(t.shape, 1.0 / np.sqrt(self.horizon))
-        return np.full(t.shape, float(self.value))
+            return np.full(T, 1.0 / np.sqrt(self.horizon))
+        return np.full(T, float(self.value))
 
 
 def euclidean_norm(x) -> float:
@@ -167,10 +164,6 @@ class SgdTrace:
     def dim(self) -> int:
         return self.iterates.shape[1]
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.iterates[-1]
-
 
 def sgd_steps(oracle, feasible, schedule: StepSchedule, x1, T: int,
               seed: int = 0):
@@ -197,11 +190,7 @@ def sgd_steps(oracle, feasible, schedule: StepSchedule, x1, T: int,
         raise ValueError(f"x1 has dimension {x.shape}, feasible set wants {feasible.dim}")
     if not feasible.contains(x):
         raise ValueError("x1 lies outside the feasible set")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if schedule.horizon is not None and T > schedule.horizon:
-        raise ValueError(f"T = {T} exceeds the schedule horizon {schedule.horizon}")
-    etas = schedule._sizes(np.arange(1, T + 1))
+    etas = schedule.sizes(T)
     if hasattr(oracle, "reset"):
         oracle.reset(seed)
 
@@ -254,13 +243,6 @@ def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
                              f"of {block.shape[0]} points, expected {block.shape[:1]}")
         values[s:s + rows] = v
     return SgdTrace(iterates, gradients, values, schedule)
-
-
-def running_average(trace: SgdTrace) -> np.ndarray:
-    """Arithmetic mean of x_1..x_{T+1}; the classical averaged output."""
-    if trace.iterates.size == 0:
-        raise ValueError("empty trace")
-    return trace.iterates.mean(axis=0)
 
 
 def trace_to_csv(trace: SgdTrace, path) -> None:

@@ -17,8 +17,8 @@ float of the domain.
 
 An instance finds the segment of a point with one helper,
 :meth:`NearlyLinearInstance.segment`, and holds one table of P[+G] per
-segment, ``segment_probs``; ``mean_grad``, ``plus_prob`` and the oracle
-read them.  The batched oracle answers with two table lookups and no
+segment, ``segment_probs``, which :meth:`NearlyLinearInstance.plus_prob`
+reads.  The batched oracle answers through it with two table lookups and no
 data-dependent branch, since the test u < P[+G] is random.
 
 Paths run through the engine's one SGD kernel, :func:`engine.sgd_steps`,
@@ -98,14 +98,9 @@ class NearlyLinearInstance:
             seg += x >= knot
         return seg
 
-    def mean_grad(self, x):
-        """Conditional mean of the oracle at x: the right-derivative slope
-        (left derivative at the right endpoint)."""
-        return self.slopes[self.segment(x)]
-
     def plus_prob(self, x):
-        """P[oracle answers +G] at x."""
-        return self.segment_probs[self.segment(x)]
+        """P[oracle answers +G] at x, shaped like x."""
+        return self.segment_probs.take(self.segment(x))
 
 
 def build_nearly_linear(shape: str, diameter: float, grad_bound: float,
@@ -288,10 +283,6 @@ class PathStats:
     def never_hit_count(self) -> int:
         return int(np.sum(self.last_visit < 0))
 
-    @property
-    def never_hit_fraction(self) -> float:
-        return self.never_hit_count / self.trials
-
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
     """Counter-based stream for one trial: Philox keyed by (seed, trial),
@@ -402,7 +393,7 @@ class NearlyLinearOracle:
         self._col += 1
         # table lookups in place of a data-dependent select: u < p is random,
         # so branching on it mispredicts about half the time
-        up = u < self.inst.segment_probs.take(self.inst.segment(x).reshape(-1))
+        up = u < self.inst.plus_prob(x).reshape(-1)
         return self._answers.take(up.view(np.int8)).reshape(np.shape(x))
 
 

@@ -45,17 +45,6 @@ class WalkChain:
     def grid(self) -> np.ndarray:
         return np.arange(self.n + 1) / self.n
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense (n+1, n+1) row-stochastic transition matrix, O(n^2) memory.
-
-        Built on demand for inspection and for the tests that check the
-        O(n) routes against it; no route in this module uses it."""
-        sub, main, sup = _diagonals(self.left_probs)
-        P, i = np.diag(main), np.arange(self.n)
-        P[i + 1, i], P[i, i + 1] = sub, sup
-        return P
-
 
 def _diagonals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sub-, main and super-diagonal of the transition matrix: left with
@@ -256,13 +245,6 @@ def simulate_chain_sgd(chain: WalkChain, f: Callable[[float], float],
     schedule = StepSchedule("constant", value=1.0 / chain.n)
     return run_sgd(oracle, Interval(0.0, 1.0), schedule,
                    np.array([start]), steps, seed=seed)
-
-
-def occupation_frequencies(trace: SgdTrace, n: int, burn_in: int = 0) -> np.ndarray:
-    """Empirical distribution over grid indices from the iterates after burn-in."""
-    xs = trace.iterates[burn_in:, 0]
-    idx = np.rint(xs * n).astype(int)
-    return np.bincount(idx, minlength=n + 1) / xs.shape[0]
 
 
 def long_run_suboptimality(trace: SgdTrace, burn_in: int = 0) -> float:

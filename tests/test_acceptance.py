@@ -194,7 +194,7 @@ def test_criterion_10_tail_decay():
 def test_criterion_11_never_hit_rarity(mc_eps_half):
     _, stats, _ = mc_eps_half
     never_400 = stats[400].never_hit_count
-    fracs = [stats[T].never_hit_fraction for T in (100, 400, 1600)]
+    fracs = [stats[T].never_hit_count / stats[T].trials for T in (100, 400, 1600)]
     ok = never_400 < 10 and all(b <= a for a, b in zip(fracs, fracs[1:]))
     assert report(11, ok, "x0=D/2: <10 paths never reach the target set; fraction nonincreasing",
                   f"(never at T=400: {never_400}, fractions {fracs})")

@@ -356,10 +356,13 @@ def test_emit_curve_contract():
     ["verify", "--family", "sc", "--d", "2", "--T", "4", "--tol", "nan"],
     ["sweep", "--family", "sc", "--d", "2", "--T", "4", "--tol", "nan"],
     ["sweep", "--family", "sc", "--d", "0,2", "--T", "4", "--jobs", "2"],
+    ["certify", "--family", "sc", "--d", "2", "--T", "4", "--format", "csv"],
+    ["lowerbound", "--family", "sc", "--d", "2", "--T", "4", "--seed", "1"],
 ], ids=["walk-n0", "certify-samples0", "mc-T0", "mc-trials50", "mc-x0-outside",
         "lowerbound-d-above-T", "out-missing-dir", "sweep-empty-grid",
         "config-missing", "config-line-without-equals", "config-without-path",
-        "verify-tol-nan", "sweep-tol-nan", "sweep-d0-jobs2"])
+        "verify-tol-nan", "sweep-tol-nan", "sweep-d0-jobs2", "certify-format",
+        "lowerbound-seed"])
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     badcfg = tmp_path / "bad.cfg"
     badcfg.write_text("family sc\n")

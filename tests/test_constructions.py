@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lastiter.constructions as cons
-from lastiter.engine import run_sgd, running_average
+from lastiter.engine import run_sgd
+from reference_routes import active_set, piece_grads, subgradient_at
 
 GRID = [(d, T) for d in (1, 2, 4, 8, 16) for T in (d, 2 * d, 64) if d <= T]
 
@@ -16,9 +17,9 @@ GRID = [(d, T) for d in (1, 2, 4, 8, 16) for T in (d, 2 * d, 64) if d <= T]
 def brute_f(inst, x):
     """Independent evaluation: explicit loop over pieces, no shared code path."""
     x = np.asarray(x, dtype=float)
-    best = -np.inf
+    best, h = -np.inf, piece_grads(inst)
     for i in range(inst.d + 2):
-        v = float(np.dot(inst.piece_grads[i], x))
+        v = float(np.dot(h[i], x))
         if inst.quadratic:
             v += 0.5 * float(np.dot(x, x))
         best = max(best, v)
@@ -30,10 +31,11 @@ def brute_f(inst, x):
 def test_build_sc_d2_t4_tables():
     inst = cons.build_instance("sc", 2, 4)
     np.testing.assert_array_equal(inst.shared_slopes, [0.25, 0.5])
-    np.testing.assert_array_equal(inst.piece_grads[0], [0.0, 0.0])
-    np.testing.assert_array_equal(inst.piece_grads[1], [-1.0, 0.0])
-    np.testing.assert_array_equal(inst.piece_grads[2], [0.25, -1.0])
-    np.testing.assert_array_equal(inst.piece_grads[3], [0.25, 0.5])
+    h = piece_grads(inst)
+    np.testing.assert_array_equal(h[0], [0.0, 0.0])
+    np.testing.assert_array_equal(h[1], [-1.0, 0.0])
+    np.testing.assert_array_equal(h[2], [0.25, -1.0])
+    np.testing.assert_array_equal(h[3], [0.25, 0.5])
     assert inst.quiet_steps == 2 and inst.quadratic
 
 
@@ -41,8 +43,8 @@ def test_build_lip_fixed_d1_t1_tables():
     inst = cons.build_instance("lip-fixed", 1, 1)
     np.testing.assert_array_equal(inst.shared_slopes, [0.125])
     np.testing.assert_array_equal(inst.depths, [0.5])
-    np.testing.assert_array_equal(inst.piece_grads[1], [-0.5])
-    np.testing.assert_array_equal(inst.piece_grads[2], [0.125])
+    np.testing.assert_array_equal(piece_grads(inst)[1], [-0.5])
+    np.testing.assert_array_equal(piece_grads(inst)[2], [0.125])
 
 
 def test_build_lip_dec_depths():
@@ -62,7 +64,7 @@ def test_build_validation():
 
 def test_piece_grads_are_locked():
     inst = cons.build_instance("sc", 2, 4)
-    for table in (inst.piece_grads, inst.shared_slopes, inst.depths):
+    for table in (piece_grads(inst), inst.shared_slopes, inst.depths):
         with pytest.raises(ValueError):
             table[0, ...] = 1.0
 
@@ -77,7 +79,7 @@ def test_structured_pieces_match_dense_table(family, d):
         h[i, :i - 1] = inst.shared_slopes[:i - 1]
         h[i, i - 1] = -inst.depths[i - 1]
     h[d + 1] = inst.shared_slopes
-    np.testing.assert_array_equal(inst.piece_grads, h)
+    np.testing.assert_array_equal(piece_grads(inst), h)
     X = np.vstack([cons.sample_ball(np.random.default_rng(d), 200, d)]
                   + [cons.closed_form_iterate(inst, t) for t in range(1, inst.T + 2)])
     dense = X @ h.T
@@ -87,7 +89,7 @@ def test_structured_pieces_match_dense_table(family, d):
     for x, row in zip(X, dense):
         np.testing.assert_allclose(cons.piece_values(inst, x), row, rtol=0, atol=1e-15)
         g = h[np.argmax(row >= row.max() - cons.ACTIVE_TOL)] + (x if inst.quadratic else 0.0)
-        np.testing.assert_array_equal(cons.subgradient_at(inst, x), g)
+        np.testing.assert_array_equal(subgradient_at(inst, x), g)
 
 
 # ------------------------------------------------------------------- eval_f
@@ -138,9 +140,9 @@ def test_oracle_value_rejects_a_block_with_one_row_outside_ball():
 
 def test_active_set_examples():
     inst = cons.build_instance("sc", 2, 4)
-    np.testing.assert_array_equal(cons.active_set(inst, np.zeros(2)), [0, 1, 2, 3])
-    np.testing.assert_array_equal(cons.active_set(inst, np.array([1 / 3, 0.0])), [2, 3])
-    np.testing.assert_array_equal(cons.active_set(inst, np.array([3 / 16, 1 / 4])), [3])
+    np.testing.assert_array_equal(active_set(inst, np.zeros(2)), [0, 1, 2, 3])
+    np.testing.assert_array_equal(active_set(inst, np.array([1 / 3, 0.0])), [2, 3])
+    np.testing.assert_array_equal(active_set(inst, np.array([3 / 16, 1 / 4])), [3])
 
 
 # ------------------------------------------------------------------- oracle
@@ -271,7 +273,7 @@ def test_oracle_rejects_points_with_only_base_piece_active():
     # hand-crafted tables where both upper pieces sit strictly below the base
     inst = cons.AdversarialInstance(family="lip-fixed", d=1, T=1,
                                     shared_slopes=[-1.0], depths=[1.0])
-    np.testing.assert_array_equal(inst.piece_grads, [[0.0], [-1.0], [-1.0]])
+    np.testing.assert_array_equal(piece_grads(inst), [[0.0], [-1.0], [-1.0]])
     orc = cons.AdversarialOracle(inst)
     with pytest.raises(RuntimeError):
         orc.subgradient(np.array([0.4]), 1)
@@ -493,7 +495,7 @@ def test_strong_convexity_degenerate_pair():
     # x = y: the inequality reduces to 0 >= 0
     inst = cons.build_instance("sc", 3, 9)
     x = np.array([0.2, -0.1, 0.05])
-    g = cons.subgradient_at(inst, x)
+    g = subgradient_at(inst, x)
     slack = cons.eval_f(inst, x) - cons.eval_f(inst, x) - g @ (x - x) - 0.5 * 0.0
     assert slack == 0.0
 
@@ -504,6 +506,7 @@ def test_strong_convexity_degenerate_pair():
 def test_trajectory_invariants_over_grid(family):
     for d, T in GRID:
         inst = cons.build_instance(family, d, T)
+        h = piece_grads(inst)
         q = inst.quiet_steps
         for t in range(q + 2, T + 2):
             row = cons.closed_form_iterate(inst, t)
@@ -519,13 +522,13 @@ def test_trajectory_invariants_over_grid(family):
             assert np.linalg.norm(row) <= 1.0 + 1e-12
 
             # lowest non-base active piece marches with the step index
-            act = cons.active_set(inst, row)
+            act = active_set(inst, row)
             act = act[act > 0]
             assert act[0] == m
 
             # current piece strictly dominates the previously active ones
             for i in range(1, m):
-                gap = row @ (inst.piece_grads[m] - inst.piece_grads[i])
+                gap = row @ (h[m] - h[i])
                 assert gap > 0.0
 
 
@@ -541,7 +544,7 @@ def test_minimum_value_zero_at_origin(family):
 @pytest.mark.parametrize("family", cons.FAMILIES)
 def test_piece_gradient_norm_caps(family):
     inst = cons.build_instance(family, 16, 64)
-    norms = np.linalg.norm(inst.piece_grads, axis=1)
+    norms = np.linalg.norm(piece_grads(inst), axis=1)
     cap = 2.0 if family == "sc" else 1.0
     assert np.all(norms <= cap)
 
@@ -566,18 +569,11 @@ def test_projection_never_activates_on_trajectory(family):
     # pre-projection points stay inside the unit ball
     inst = cons.build_instance(family, 8, 24)
     trace = cons.run_on_instance(inst)
-    sched = inst.schedule()
+    etas = inst.schedule().sizes(inst.T)
     for t in range(1, inst.T + 1):
-        y = trace.iterates[t - 1] - sched.eval(t) * trace.gradients[t - 1]
+        y = trace.iterates[t - 1] - etas[t - 1] * trace.gradients[t - 1]
         assert np.linalg.norm(y) <= 1.0 + 1e-12
         np.testing.assert_array_equal(trace.iterates[t], y)
-
-
-def test_running_average_of_verified_trace():
-    inst = cons.build_instance("sc", 2, 4)
-    trace = cons.run_on_instance(inst)
-    np.testing.assert_allclose(running_average(trace), [5 / 48, 1 / 20],
-                               rtol=0, atol=1e-16)
 
 
 def test_engine_example_matches_lower_bound_module():
@@ -587,18 +583,3 @@ def test_engine_example_matches_lower_bound_module():
                     inst.schedule(), np.zeros(2), inst.T)
     expected = np.array([[0, 0], [0, 0], [0, 0], [1 / 3, 0], [3 / 16, 1 / 4]])
     np.testing.assert_allclose(trace.iterates, expected, rtol=0, atol=1e-16)
-
-
-# --------------------------------------------------------------------- dump
-
-def test_instance_dump_csv(tmp_path):
-    inst = cons.build_instance("lip-fixed", 2, 4)
-    path = tmp_path / "inst.csv"
-    cons.dump_instance_csv(inst, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# family=lip-fixed"
-    assert lines[1] == "# d=2" and lines[2] == "# T=4"
-    assert lines[3] == "i,j,h_value"
-    assert len(lines) == 4 + (inst.d + 2) * inst.d
-    i, j, v = lines[4].split(",")
-    assert (i, j) == ("0", "1") and float(v) == 0.0

@@ -6,6 +6,7 @@ import pytest
 from lastiter import nearly_linear as nl
 from lastiter.engine import Interval, StepSchedule, sgd_steps
 from lastiter import walk as wk
+from reference_routes import mean_grad
 
 
 def abs_instance(epsilon=0.5):
@@ -24,10 +25,10 @@ def multi_knot_instance():
 def test_abs_instance_values_and_means():
     inst = nl.build_nearly_linear("abs", 1.0, 1.0, 0.1)
     assert float(inst.f(0.3)) == pytest.approx(0.03, abs=1e-15)
-    assert float(inst.mean_grad(0.3)) == 0.1
-    assert float(inst.mean_grad(-0.3)) == -0.1
+    assert float(mean_grad(inst, 0.3)) == 0.1
+    assert float(mean_grad(inst, -0.3)) == -0.1
     # right-derivative convention at the minimum
-    assert float(inst.mean_grad(0.0)) == 0.1
+    assert float(mean_grad(inst, 0.0)) == 0.1
     assert float(inst.f(0.0)) == 0.0
 
 
@@ -42,13 +43,13 @@ def test_piecewise_shape_and_band_validation():
     inst = nl.build_nearly_linear("piecewise", 2.0, 1.0, 0.4, band_ratio=0.5,
                                   knots=[-0.5, 0.5], slopes=[-0.4, -0.2, 0.2, 0.4])
     assert float(inst.f(0.0)) == 0.0
-    assert float(inst.mean_grad(0.7)) == 0.4
+    assert float(mean_grad(inst, 0.7)) == 0.4
     # reference lookup: last knot <= x, clamped to the segments; knots exactly
     # and points beyond both ends included
     xs = np.concatenate([np.linspace(-1.5, 1.5, 301), inst.knots])
     idx = np.clip(np.searchsorted(inst.knots, xs, side="right") - 1,
                   0, inst.slopes.shape[0] - 1)
-    assert np.array_equal(inst.mean_grad(xs), inst.slopes[idx])
+    assert np.array_equal(mean_grad(inst, xs), inst.slopes[idx])
     # the segment helper is the searchsorted index over the interior knots:
     # at every knot and its neighbouring floats, at +/-0.0 and beyond both ends
     for case in (abs_instance(), nl.build_nearly_linear("asym_abs", 1.0, 1.0, 0.5,
@@ -162,7 +163,7 @@ def test_oracle_draws_are_bounded_and_unbiased():
     assert np.all(np.abs(draws) <= inst.grad_bound)  # exactly bounded
     mean = draws.mean()
     se = draws.std(ddof=1) / math.sqrt(draws.size)
-    sub = float(inst.mean_grad(x))
+    sub = float(mean_grad(inst, x))
     assert abs(mean - sub) <= 4 * se
     band = (inst.band_ratio * inst.epsilon * inst.grad_bound,
             inst.epsilon * inst.grad_bound)
@@ -195,7 +196,7 @@ def test_single_vectorized_path_equals_engine_path():
     stats = nl.simulate_paths(inst, 250, 10, 0.5, seed=3, chunk=4)
     for trial in (0, 6, 9):
         trace = nl.path_via_engine(inst, 250, 0.5, seed=3, trial=trial)
-        assert trace.final[0] == stats.final_x[trial]
+        assert trace.iterates[-1, 0] == stats.final_x[trial]
 
 
 def test_batched_paths_cross_tiles_like_engine_paths():
@@ -310,7 +311,7 @@ def test_scaling_and_never_hit_in_stochastic_regime():
         stats = nl.simulate_paths(inst, T, 2000, 0.5, seed=0)
         mean, _ = nl.expected_suboptimality(stats)
         ratios.append(mean * math.sqrt(T))
-        fractions.append(stats.never_hit_fraction)
+        fractions.append(stats.never_hit_count / stats.trials)
     assert max(ratios) / min(ratios) <= 2.0
     assert all(f2 <= f1 for f1, f2 in zip(fractions, fractions[1:]))
     assert fractions[-1] == 0.0

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
-from .engine import Ball, SgdTrace, StepSchedule, euclidean_norm, run_sgd, sgd_steps
+from .engine import (Ball, SgdTrace, StepSchedule, block_rows, euclidean_norm,
+                     run_sgd, sgd_steps)
 
 STRONGLY_CONVEX = "sc"
 LIPSCHITZ_DECREASING = "lip-dec"
@@ -57,6 +57,10 @@ FAMILIES = (STRONGLY_CONVEX, LIPSCHITZ_DECREASING, LIPSCHITZ_FIXED)
 # absolute tolerance for detecting ties among active pieces; exact ties in
 # real arithmetic show up with ~1e-16 noise in binary64
 ACTIVE_TOL = 1e-10
+
+# slack a sampled certificate forgives its worst pair (and the Lipschitz
+# certificate its largest subgradient norm)
+SLACK_TOL = 1e-12
 
 _SCHEDULES = {
     STRONGLY_CONVEX: "inv_t",
@@ -393,12 +397,6 @@ def _compare(inst: AdversarialInstance, blocks, tol: float, oracle=None) -> Veri
     )
 
 
-def _block_rows(d: int) -> int:
-    """Rows of d floats per block of at most ``engine.VALUE_BLOCK`` floats
-    (at least one), read at call time."""
-    return max(1, engine.VALUE_BLOCK // d)
-
-
 def verify_trajectory(inst: AdversarialInstance, trace: SgdTrace,
                       tol: float = 1e-9) -> VerifyReport:
     """Check a recorded trace against the closed form, in blocks of
@@ -406,7 +404,7 @@ def verify_trajectory(inst: AdversarialInstance, trace: SgdTrace,
     want = (inst.T + 1, inst.d)
     if trace.iterates.shape != want:
         raise ValueError(f"trace shape {trace.iterates.shape} does not match expected {want}")
-    rows = _block_rows(inst.d)
+    rows = block_rows(inst.d)
     blocks = (trace.iterates[s:s + rows] for s in range(0, inst.T + 1, rows))
     return _compare(inst, blocks, tol)
 
@@ -445,7 +443,7 @@ def sample_ball(rng: np.random.Generator, count: int, dim: int,
     scaled in place, one block of ``engine.VALUE_BLOCK`` floats at a time."""
     g = rng.standard_normal((count, dim))
     r = rng.random(count) ** (1.0 / dim)
-    rows = _block_rows(dim)
+    rows = block_rows(dim)
     for s in range(0, count, rows):
         blk = g[s:s + rows]
         blk /= _row_norms(blk)[:, None]
@@ -462,7 +460,7 @@ class CertificateReport:
     constant: float
     samples: int
     seed: int
-    worst: float          # worst slack: <= slack_tol means pass
+    worst: float          # worst slack: <= SLACK_TOL means pass
     worst_ratio: float    # max |f(x)-f(y)| / (L ||x-y||), Lipschitz only
     passed: bool
     witness: tuple | None
@@ -473,8 +471,7 @@ class CertificateReport:
 
 
 def check_lipschitz(inst: AdversarialInstance, L: float | None = None,
-                    samples: int = 10_000, seed: int = 0,
-                    slack_tol: float = 1e-12) -> CertificateReport:
+                    samples: int = 10_000, seed: int = 0) -> CertificateReport:
     """Sampled certificate that |f(x)-f(y)| <= L ||x-y|| on the unit ball.
 
     Also verifies that every active piece at every sampled point has
@@ -497,7 +494,7 @@ def check_lipschitz(inst: AdversarialInstance, L: float | None = None,
     # subgradient norms over all active pieces at the x-samples: the largest
     # squared norm per block (sc), or the columns active anywhere (otherwise)
     sq_max, active_cols = [], np.zeros(inst.d + 2, dtype=bool)
-    rows = _block_rows(inst.d)
+    rows = block_rows(inst.d)
     for s in range(0, samples, rows):
         x, y, e = X[s:s + rows], Y[s:s + rows], slice(s, s + rows)
         dist[e] = _row_norms(x - y)
@@ -526,7 +523,7 @@ def check_lipschitz(inst: AdversarialInstance, L: float | None = None,
     nz = dist > 0
     worst_ratio = float(np.max(np.abs(fx - fy)[nz] / (L * dist[nz]))) if nz.any() else 0.0
 
-    passed = worst <= slack_tol and gnorm <= L + slack_tol
+    passed = worst <= SLACK_TOL and gnorm <= L + SLACK_TOL
     witness = None
     if not passed:
         witness = (X[worst_idx].copy(), Y[worst_idx].copy())
@@ -537,8 +534,7 @@ def check_lipschitz(inst: AdversarialInstance, L: float | None = None,
 
 
 def check_strong_convexity(inst: AdversarialInstance, alpha: float = 1.0,
-                           samples: int = 10_000, seed: int = 0,
-                           slack_tol: float = 1e-12) -> CertificateReport:
+                           samples: int = 10_000, seed: int = 0) -> CertificateReport:
     """Sampled certificate that f(y) - f(x) >= g.(y-x) + alpha/2 ||y-x||^2
     for g the canonical subgradient at x, one block of ``engine.VALUE_BLOCK``
     floats of pairs at a time; only the per-pair slacks are kept."""
@@ -551,7 +547,7 @@ def check_strong_convexity(inst: AdversarialInstance, alpha: float = 1.0,
     Y = sample_ball(rng, samples, inst.d)
 
     slack = np.empty(samples)
-    rows = _block_rows(inst.d)
+    rows = block_rows(inst.d)
     for s in range(0, samples, rows):
         x, y = X[s:s + rows], Y[s:s + rows]
         fy = piece_values(inst, y).max(axis=1)
@@ -569,7 +565,7 @@ def check_strong_convexity(inst: AdversarialInstance, alpha: float = 1.0,
                              - 0.5 * alpha * np.add.reduce(diff, axis=1))
     worst_idx = int(np.argmin(slack))
     worst = float(slack[worst_idx])
-    passed = worst >= -slack_tol
+    passed = worst >= -SLACK_TOL
     witness = None if passed else (X[worst_idx].copy(), Y[worst_idx].copy())
     return CertificateReport(
         kind="strong_convexity", constant=alpha, samples=samples, seed=seed,

@@ -40,6 +40,9 @@ SCHEDULE_KINDS = ("inv_t", "inv_sqrt_t", "inv_sqrt_horizon", "constant")
 #: (T = 4096, d = 1024, on a 2-vCPU x86_64 VM)
 VALUE_BLOCK = 1 << 15
 
+#: slack of the feasibility test of a start point, for rounding on the boundary
+_CONTAINS_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class StepSchedule:
@@ -82,6 +85,11 @@ class StepSchedule:
         return np.full(T, float(self.value))
 
 
+def block_rows(d: int) -> int:
+    """Rows of d floats per block of at most ``VALUE_BLOCK`` floats, read at call time."""
+    return max(1, VALUE_BLOCK // d)
+
+
 def euclidean_norm(x) -> float:
     """float(np.linalg.norm(x)) for real x, bit for bit (the square root of
     the dot product of the flattened array), without norm's Python wrapper."""
@@ -115,8 +123,8 @@ class Ball:
             return x
         return x * (self.radius / nrm)
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        return euclidean_norm(x) <= self.radius + tol
+    def contains(self, x) -> bool:
+        return euclidean_norm(x) <= self.radius + _CONTAINS_TOL
 
 
 @dataclass(frozen=True)
@@ -141,20 +149,20 @@ class Interval:
         Python wrapper."""
         return np.minimum(self.hi, np.maximum(self.lo, np.asarray(x, dtype=float)))
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+        return bool(np.all(x >= self.lo - _CONTAINS_TOL)
+                    and np.all(x <= self.hi + _CONTAINS_TOL))
 
 
 @dataclass
 class SgdTrace:
-    """Full history of one run: iterates x_1..x_{T+1}, oracle outputs g_1..g_T,
-    objective values f(x_1)..f(x_{T+1}), and the schedule that produced them."""
+    """Full history of one run: iterates x_1..x_{T+1}, oracle outputs g_1..g_T
+    and objective values f(x_1)..f(x_{T+1})."""
 
     iterates: np.ndarray   # (T+1, d)
     gradients: np.ndarray  # (T, d)
     values: np.ndarray     # (T+1,)
-    schedule: StepSchedule
 
     @property
     def T(self) -> int:
@@ -234,7 +242,7 @@ def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
     for t, g, x in steps:
         gradients[t - 1] = g
         iterates[t] = x
-    rows = max(1, VALUE_BLOCK // x.shape[0])
+    rows = block_rows(x.shape[0])
     for s in range(0, T + 1, rows):
         block = iterates[s:s + rows]
         v = np.asarray(oracle.value(block), dtype=float)
@@ -242,7 +250,7 @@ def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
             raise ValueError(f"oracle.value returned shape {v.shape} for a block "
                              f"of {block.shape[0]} points, expected {block.shape[:1]}")
         values[s:s + rows] = v
-    return SgdTrace(iterates, gradients, values, schedule)
+    return SgdTrace(iterates, gradients, values)
 
 
 def trace_to_csv(trace: SgdTrace, path) -> None:

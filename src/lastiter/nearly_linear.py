@@ -15,11 +15,10 @@ f is at most the threshold, and :meth:`GoodSet.contains` is the one
 membership rule: two comparisons, equal to ``f(x) <= threshold`` at every
 float of the domain.
 
-An instance finds the segment of a point with one helper,
-:meth:`NearlyLinearInstance.segment`, and holds one table of P[+G] per
-segment, ``segment_probs``, which :meth:`NearlyLinearInstance.plus_prob`
-reads.  The batched oracle answers through it with two table lookups and no
-data-dependent branch, since the test u < P[+G] is random.
+An instance holds one table of P[+G] per segment, ``segment_probs``, which
+:class:`NearlyLinearOracle` hands with the interior knots to
+:class:`TwoPointOracle`, the one oracle of both 1D studies (the grid walk's
+``walk.GridSignOracle`` is the other caller).
 
 Paths run through the engine's one SGD kernel, :func:`engine.sgd_steps`,
 a chunk of trials at a time as one batch.  Every trial owns a counter-based
@@ -34,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +42,9 @@ from .engine import Interval, SgdTrace, StepSchedule, run_sgd, sgd_steps
 
 _BAND_TOL = 1e-12
 
+#: hits a tail bin needs to enter the decay fit
+_FIT_MIN_HITS = 10
+
 #: steps of uniforms drawn from each trial's stream at a time.  Not a power
 #: of two: a step reads one column of the (B, TILE) tile, and a power-of-two
 #: row stride (512 doubles = 4096 bytes) maps every row of that column to the
@@ -49,7 +52,8 @@ _BAND_TOL = 1e-12
 #: x86_64 machine).
 TILE = 500
 
-SHAPES = ("abs", "asym_abs", "piecewise")
+#: shapes built from the band alone; "piecewise" also needs knots and slopes
+SHAPES = ("abs", "asym_abs")
 
 
 @dataclass(frozen=True)
@@ -84,24 +88,6 @@ class NearlyLinearInstance:
         """Objective value(s); exact for piecewise-linear f via interpolation."""
         return np.interp(np.asarray(x, dtype=float), self.knots, self.knot_values)
 
-    def segment(self, x):
-        """Index of the segment holding x: the count of interior knots <= x.
-
-        Equals ``searchsorted(knots[1:-1], x, side="right")`` for every
-        non-NaN x; points at or beyond either end of the domain fall in the
-        end segments.  One comparison per interior knot and element, so the
-        cost is linear in the knot count, with no data-dependent branch.
-        """
-        x = np.asarray(x, dtype=float)
-        seg = np.zeros(x.shape, dtype=np.intp)
-        for knot in self.knots[1:-1].tolist():  # floats compare faster than numpy scalars
-            seg += x >= knot
-        return seg
-
-    def plus_prob(self, x):
-        """P[oracle answers +G] at x, shaped like x."""
-        return self.segment_probs.take(self.segment(x))
-
 
 def build_nearly_linear(shape: str, diameter: float, grad_bound: float,
                         epsilon: float, band_ratio: float = 1.0,
@@ -117,7 +103,7 @@ def build_nearly_linear(shape: str, diameter: float, grad_bound: float,
     magnitude, is ordered non-convexly, or points the wrong way around the
     minimum at 0.
     """
-    if shape not in SHAPES:
+    if shape not in (*SHAPES, "piecewise"):
         raise ValueError(f"unknown shape {shape!r}")
     if not diameter > 0 or not grad_bound > 0:
         raise ValueError("diameter and grad_bound must be positive")
@@ -353,48 +339,76 @@ def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
         last_visit=last_visit)
 
 
-class NearlyLinearOracle:
-    """Engine-compatible two-point oracle for one trial or a batch of trials.
+class TwoPointOracle:
+    """Engine oracle answering +G when the step's uniform is below
+    ``probs[i]``, where i counts the ``cuts`` <= x, and -G otherwise.
 
-    ``trial`` is an int (points of shape (1,)) or an index array (batches of
-    shape (B, 1), row r belonging to trial ``trial[r]``).  Every subgradient
-    query draws one uniform per trial from that trial's (seed, trial) Philox
-    stream, so a trial's answers do not depend on the batch it runs in.  The
-    streams are created at the first query after ``reset`` and refill a
-    (B, TILE) buffer of uniforms in place, one row each, every TILE queries.
-    """
+    ``streams(seed)`` makes one uniform stream per point at the first query
+    after ``reset``; ``f`` maps a (k,) array of points to their values.  One
+    point of shape (1,) is answered in Python floats (a ``bisect_right``, a
+    list of TILE uniforms: the doubles of one ``random()`` call per step),
+    a batch of shape (B, 1) with one comparison per cut and table lookups,
+    from a (B, TILE) buffer of uniforms refilled in place."""
 
-    def __init__(self, inst: NearlyLinearInstance, trial=0):
-        self.inst = inst
-        self.trial = trial
-        self._answers = np.array([-inst.grad_bound, inst.grad_bound])
-        self._seed = 0
-        self._streams = None
+    def __init__(self, cuts, probs, grad_bound: float, streams, f):
+        self._cuts = np.asarray(cuts, dtype=float).tolist()
+        self._probs = np.asarray(probs, dtype=float)
+        self._prob_list = self._probs.tolist()
+        self._answers = np.array([-grad_bound, grad_bound])
+        self._answers.setflags(write=False)
+        self._down, self._up = self._answers[:1], self._answers[1:]
+        self._make_streams = streams
+        self._f = f
+        self.reset(0)
 
     def reset(self, seed: int) -> None:
         self._seed = seed
         self._streams = None
+        self._col = TILE
 
     def value(self, X) -> np.ndarray:
         """f at each row of a (k, 1) block."""
-        return self.inst.f(np.asarray(X)[:, 0])
+        return self._f(np.asarray(X)[:, 0])
+
+    def plus_prob(self, x):
+        """P[+G] at x: a float for one point of shape (1,), else an array
+        shaped like x."""
+        if x.ndim == 1:
+            return self._prob_list[bisect_right(self._cuts, x.item(0))]
+        seg = np.zeros(x.shape, dtype=np.intp)
+        for cut in self._cuts:  # floats compare faster than numpy scalars
+            seg += x >= cut
+        return self._probs.take(seg)
 
     def subgradient(self, x, t: int) -> np.ndarray:
-        if self._streams is None:
-            self._streams = [trial_stream(self._seed, int(r))
-                             for r in np.atleast_1d(self.trial)]
-            self._tile = np.empty((len(self._streams), TILE))
-            self._col = TILE
-        if self._col == TILE:
-            for stream, row in zip(self._streams, self._tile):
+        if self._col == TILE:  # the next TILE uniforms of every stream
+            if self._streams is None:
+                self._streams = self._make_streams(self._seed)
+                self._rows = np.empty((len(self._streams), TILE))
+            for stream, row in zip(self._streams, self._rows):
                 stream.random(out=row)
+            self._tile = self._rows[0].tolist() if x.ndim == 1 else self._rows
             self._col = 0
-        u = self._tile[:, self._col]
-        self._col += 1
+        col = self._col
+        self._col = col + 1
+        if x.ndim == 1:
+            return self._up if self._tile[col] < self.plus_prob(x) else self._down
         # table lookups in place of a data-dependent select: u < p is random,
         # so branching on it mispredicts about half the time
-        up = u < self.inst.plus_prob(x).reshape(-1)
-        return self._answers.take(up.view(np.int8)).reshape(np.shape(x))
+        up = self._tile[:, col] < self.plus_prob(x).reshape(-1)
+        return self._answers.take(up.view(np.int8)).reshape(x.shape)
+
+
+class NearlyLinearOracle(TwoPointOracle):
+    """The two-point oracle of an instance for one trial (an int ``trial``,
+    points of shape (1,)) or for a batch (an index array; row r of a (B, 1)
+    batch draws from the (seed, ``trial[r]``) Philox stream, so a trial's
+    answers do not depend on its batch)."""
+
+    def __init__(self, inst: NearlyLinearInstance, trial=0):
+        trials = np.atleast_1d(trial)
+        super().__init__(inst.knots[1:-1], inst.segment_probs, inst.grad_bound,
+                         lambda seed: [trial_stream(seed, int(r)) for r in trials], inst.f)
 
 
 def _fixed_step(inst: NearlyLinearInstance, T: int) -> StepSchedule:
@@ -423,10 +437,9 @@ class TailEstimate:
         return [(int(k), float(p)) for k, p in self.rows]
 
 
-def tail_estimate(stats: PathStats, k_max: int = 20,
-                  min_count: int = 10) -> TailEstimate:
+def tail_estimate(stats: PathStats, k_max: int = 20) -> TailEstimate:
     """Tail probabilities at multiples of the good-set threshold, plus the
-    exponential decay rate fitted on bins with at least ``min_count`` hits.
+    exponential decay rate fitted on bins with at least ``_FIT_MIN_HITS`` hits.
 
     Raises ValueError when fewer than two bins qualify (not enough trials to
     see the decay).
@@ -437,11 +450,11 @@ def tail_estimate(stats: PathStats, k_max: int = 20,
     probs = counts / stats.trials
     rows = list(zip(ks.tolist(), probs.tolist()))
 
-    fit_ks = [k for k in range(1, k_max + 1) if counts[k] >= min_count]
+    fit_ks = [k for k in range(1, k_max + 1) if counts[k] >= _FIT_MIN_HITS]
     if len(fit_ks) < 2 or counts[1:4].max(initial=0) == 0:
         raise ValueError(
             "insufficient trials for a tail fit: need nonzero counts at small k "
-            "and at least two bins with >= {} hits".format(min_count))
+            "and at least two bins with >= {} hits".format(_FIT_MIN_HITS))
     slope = float(np.polyfit(fit_ks, np.log(counts[fit_ks]), 1)[0])
     return TailEstimate(rows=rows, counts=counts, rate=slope)
 

@@ -15,6 +15,9 @@ The stationary distribution has the product closed form
 
 computed here in log space, and its expected objective value is bounded by
 (2 + 24e)/n.
+
+The walk runs as that SGD through the engine (:func:`simulate_chain_sgd`)
+with :class:`GridSignOracle`, the nearly linear study's two-point oracle.
 """
 
 from __future__ import annotations
@@ -26,12 +29,15 @@ from typing import Callable
 import numpy as np
 
 from .engine import Interval, SgdTrace, StepSchedule, run_sgd
-from .nearly_linear import TILE
+from .nearly_linear import TwoPointOracle
 
 #: coefficient of the stationary suboptimality bound (2 + 24e)/n
 BOUND_COEFF = 2.0 + 24.0 * math.e
 
 _MONOTONE_TOL = 1e-9
+
+#: residual max|p P - p| at which the power iteration stops
+_POWER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -142,8 +148,7 @@ def stationary_closed_form(chain: WalkChain) -> StationaryResult:
 
 
 def stationary_solve(chain: WalkChain, method: str = "linear_solve",
-                     tol: float = 1e-12, max_iters: int = 10 ** 6,
-                     ) -> StationaryResult:
+                     max_iters: int = 10 ** 6) -> StationaryResult:
     """Stationary distribution by banded linear solve or power iteration.
 
     ``linear_solve`` solves A p = 0 for the tridiagonal A = P^T - I by
@@ -176,10 +181,10 @@ def stationary_solve(chain: WalkChain, method: str = "linear_solve",
             q = _step(p, *diagonals)
             r = float(np.max(np.abs(q - p)))
             p = q
-            if r <= tol:
+            if r <= _POWER_TOL:
                 return StationaryResult(p=p, method=method, residual=_residual(chain, p))
         raise RuntimeError(
-            f"power iteration did not reach residual {tol} in {max_iters} "
+            f"power iteration did not reach residual {_POWER_TOL} in {max_iters} "
             f"iterations (last residual {r:.3e})")
     raise ValueError(f"unknown method {method!r}")
 
@@ -201,41 +206,15 @@ def suboptimality_bound(n: int) -> float:
 # ---------------------------------------------------------------------------
 # simulation through the SGD engine (the chain is fixed-step SGD in disguise)
 
-class GridSignOracle:
-    """Restricted oracle answering +/-1; P[+1] at grid point i/n is a_i.
-
-    The uniforms come from ``default_rng(seed)`` ``TILE`` at a time, the
-    same doubles as one ``random()`` call per step, and the answers are two
-    read-only arrays made once."""
+class GridSignOracle(TwoPointOracle):
+    """Restricted oracle answering +/-1, P[+1] = a_i at x = i/n: i counts the
+    midpoints (k + 1/2)/n <= x, the uniforms come from ``default_rng(seed)``,
+    and ``f`` takes one float at a time."""
 
     def __init__(self, chain: WalkChain, f: Callable[[float], float]):
-        self.chain = chain
-        self.f = f
-        self._probs = chain.left_probs.tolist()
-        answers = np.array([1.0, -1.0])
-        answers.setflags(write=False)
-        self._up, self._down = answers[:1], answers[1:]
-        self.reset(0)
-
-    def reset(self, seed: int) -> None:
-        self._rng = np.random.default_rng(seed)
-        self._tile = []
-        self._col = 0
-
-    def value(self, X) -> np.ndarray:
-        """f at each row of a (k, 1) block; f takes one float at a time,
-        and no list of k Python floats is built."""
-        col = np.asarray(X)[:, 0]
-        return np.fromiter(map(self.f, map(float, col)), dtype=float, count=len(col))
-
-    def subgradient(self, x, t: int) -> np.ndarray:
-        if self._col == len(self._tile):
-            self._tile = self._rng.random(TILE).tolist()
-            self._col = 0
-        u = self._tile[self._col]
-        self._col += 1
-        i = int(round(float(np.asarray(x).item(0)) * self.chain.n))
-        return self._up if u < self._probs[i] else self._down
+        super().__init__((np.arange(chain.n) + 0.5) / chain.n, chain.left_probs, 1.0,
+                         lambda seed: [np.random.default_rng(seed)],
+                         lambda col: np.fromiter(map(f, map(float, col)), float, len(col)))
 
 
 def simulate_chain_sgd(chain: WalkChain, f: Callable[[float], float],

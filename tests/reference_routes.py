@@ -7,8 +7,8 @@ independent route to the values it asserts:
   subgradient of a worst-case instance, from the staircase rows and the
   piece values;
 - the dense transition matrix of a walk, from its three diagonals;
-- the conditional mean of a nearly linear instance's oracle, from its
-  segment lookup.
+- the conditional mean of a nearly linear instance's oracle, from a
+  ``searchsorted`` over its interior knots.
 
 No route of the library uses them; the two dense tables cost O(d^2) and
 O(n^2) memory.
@@ -51,4 +51,4 @@ def matrix(chain) -> np.ndarray:
 def mean_grad(inst, x):
     """Conditional mean of a nearly linear instance's oracle at x: the
     right-derivative slope (left derivative at the right endpoint)."""
-    return inst.slopes[inst.segment(x)]
+    return inst.slopes[np.searchsorted(inst.knots[1:-1], x, side="right")]

@@ -20,6 +20,11 @@ def multi_knot_instance():
                                   slopes=[-0.4, -0.3, -0.2, 0.2, 0.3, 0.4])
 
 
+def searchsorted_probs(inst, x):
+    """P[+G] at x, from the searchsorted index over the interior knots."""
+    return inst.segment_probs[np.searchsorted(inst.knots[1:-1], x, side="right")]
+
+
 # ------------------------------------------------------------------ building
 
 def test_abs_instance_values_and_means():
@@ -50,8 +55,10 @@ def test_piecewise_shape_and_band_validation():
     idx = np.clip(np.searchsorted(inst.knots, xs, side="right") - 1,
                   0, inst.slopes.shape[0] - 1)
     assert np.array_equal(mean_grad(inst, xs), inst.slopes[idx])
-    # the segment helper is the searchsorted index over the interior knots:
-    # at every knot and its neighbouring floats, at +/-0.0 and beyond both ends
+    # the oracle's lookup, for one point and for a batch, picks the P[+G] of
+    # the searchsorted index over the interior knots: at every knot (the
+    # domain ends among them) and its neighbouring floats, at +/-0.0 and
+    # beyond both ends
     for case in (abs_instance(), nl.build_nearly_linear("asym_abs", 1.0, 1.0, 0.5,
                                                         band_ratio=0.5),
                  inst, multi_knot_instance()):
@@ -59,10 +66,10 @@ def test_piecewise_shape_and_band_validation():
         xs = np.concatenate([ks, np.nextafter(ks, -np.inf), np.nextafter(ks, np.inf),
                              [0.0, -0.0, case.lo - 1.0, case.hi + 1.0, -np.inf, np.inf],
                              np.linspace(case.lo - 0.5, case.hi + 0.5, 101)])
-        ref = np.searchsorted(ks[1:-1], xs, side="right")
-        assert np.array_equal(case.segment(xs), ref)
-        assert np.array_equal(case.segment(xs.reshape(-1, 1)), ref.reshape(-1, 1))
-        assert all(case.segment(x) == r for x, r in zip(xs, ref))
+        ref = searchsorted_probs(case, xs)
+        oracle = nl.NearlyLinearOracle(case)
+        assert np.array_equal(oracle.plus_prob(xs.reshape(-1, 1)), ref.reshape(-1, 1))
+        assert [oracle.plus_prob(np.array([x])) for x in xs] == ref.tolist()
 
     with pytest.raises(ValueError):  # slope above eps*G
         nl.build_nearly_linear("piecewise", 2.0, 1.0, 0.4, band_ratio=0.5,
@@ -159,7 +166,8 @@ def test_oracle_draws_are_bounded_and_unbiased():
     inst = abs_instance()
     x = 0.4
     rng = nl.trial_stream(0, 0)
-    draws = np.where(rng.random(100_000) < float(inst.plus_prob(x)), 1.0, -1.0)
+    p = nl.NearlyLinearOracle(inst).plus_prob(np.array([x]))
+    draws = np.where(rng.random(100_000) < p, 1.0, -1.0)
     assert np.all(np.abs(draws) <= inst.grad_bound)  # exactly bounded
     mean = draws.mean()
     se = draws.std(ddof=1) / math.sqrt(draws.size)
@@ -212,12 +220,13 @@ def test_batched_paths_cross_tiles_like_engine_paths():
             xs = trace.iterates[:, 0]
             u = nl.trial_stream(5, trial).random(T)
             assert np.array_equal(trace.gradients[:, 0],
-                                  np.where(u < inst.plus_prob(xs[:-1]), G, -G))
+                                  np.where(u < searchsorted_probs(inst, xs[:-1]), G, -G))
             hits = np.flatnonzero(inst.f(xs) <= stats.threshold)
             assert xs[-1] == stats.final_x[trial]
             assert (hits[-1] if hits.size else -1) == stats.last_visit[trial]
         # the last path alone visits every segment of the instance
-        assert set(inst.segment(xs).tolist()) == set(range(inst.slopes.size))
+        segments = np.searchsorted(inst.knots[1:-1], xs, side="right")
+        assert set(segments.tolist()) == set(range(inst.slopes.size))
 
 
 def reference_paths(inst, T, trials, x0, seed, chunk):
@@ -330,7 +339,8 @@ def test_degenerate_oracle_at_epsilon_one():
     # epsilon = 1: |s(x)| = G everywhere, so the oracle is deterministic and
     # every trial from x0 = D/2 follows the same zigzag
     inst = abs_instance(1.0)
-    probs = inst.plus_prob(np.linspace(inst.lo, inst.hi, 1001))
+    xs = np.linspace(inst.lo, inst.hi, 1001)
+    probs = nl.NearlyLinearOracle(inst).plus_prob(xs[:, None])
     assert set(np.unique(probs).tolist()) == {0.0, 1.0}
     for T in (100, 400, 1600, 6400):
         stats = nl.simulate_paths(inst, T, 200, 0.5, seed=0)

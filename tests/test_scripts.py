@@ -1,5 +1,5 @@
 """Smoke tests: each script under scripts/ exits 0 on a tiny input and
-writes output that reads back."""
+writes output that reads back, and exits 2 on an option it cannot serve."""
 
 import csv
 import json
@@ -25,6 +25,14 @@ def test_mc_scaling_study_writes_rows(tmp_path):
     assert rep["trials"] == 200 and rep["epsilon"] == 0.5
     assert [row["T"] for row in rep["rows"]] == [100, 400]
     assert all(row["mean"] > 0 and row["never_hit"] >= 0 for row in rep["rows"])
+
+
+def test_mc_scaling_study_rejects_shapes_that_need_knots():
+    # "piecewise" needs knots and slopes, which no option passes
+    proc = run_script("mc_scaling_study.py", "--shape", "piecewise", "--trials", "200",
+                      "--horizons", "100")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "invalid choice" in proc.stderr
 
 
 def test_bound_vs_dimension_writes_curves(tmp_path):

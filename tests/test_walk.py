@@ -247,6 +247,17 @@ def test_simulated_walk_stays_on_grid_and_is_deterministic():
     np.testing.assert_allclose(idx, np.rint(idx), atol=1e-9)
 
 
+def test_grid_oracle_reads_a_i_at_every_grid_point():
+    # the oracle counts the midpoints (k + 1/2)/n <= x, which is round(x * n)
+    # at every grid point i/n and at the floats next to it; the a_i differ
+    for n in (1, 7, 100, 4000):
+        ch = wk.make_chain(np.linspace(0.5, 1.0, n + 1))
+        oracle = wk.GridSignOracle(ch, abs)
+        grid = np.arange(n + 1) / n
+        for x in np.concatenate([grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0)]):
+            assert oracle.plus_prob(np.array([x])) == ch.left_probs[round(x * n)]
+
+
 def test_simulated_walk_is_the_clipped_sign_loop():
     # the engine run equals x <- clip(x - g/n, 0, 1) with g = +1 when the
     # step's uniform from default_rng(seed) is below a_i, else -1, bit for bit

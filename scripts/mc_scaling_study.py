@@ -7,6 +7,10 @@ rich enough) the fitted tail decay rate.  With the default epsilon = 0.5
 the walk is genuinely stochastic and the scaled means stay flat; epsilon
 close to 1 degenerates the two-point oracle toward a deterministic zigzag.
 
+Exit status: 0 on success, 2 with one error line for an input the study
+cannot serve (a bad horizon list, epsilon outside (0, 1], fewer than 100
+trials, an unwritable --out, too many trials for memory).
+
 Usage:
     python scripts/mc_scaling_study.py --epsilon 0.5 --trials 10000
 """
@@ -22,23 +26,40 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from lastiter import nearly_linear as nl  # noqa: E402
 
 
+def horizon_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--shape", choices=nl.SHAPES, default="abs")
     ap.add_argument("--epsilon", type=float, default=0.5)
     ap.add_argument("--band-ratio", type=float, default=1.0)
-    ap.add_argument("--horizons", default="100,400,1600,6400")
+    ap.add_argument("--horizons", type=horizon_list, default="100,400,1600,6400")
     ap.add_argument("--trials", type=int, default=10_000)
     ap.add_argument("--x0", type=float, default=None)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="optional JSON output path")
     args = ap.parse_args()
+    try:
+        return study(args)
+    except (ValueError, OSError) as exc:
+        ap.error(str(exc))
+    except MemoryError as exc:
+        # numpy's message says what it could not allocate; a bare one is empty
+        ap.error(str(exc) or "out of memory")
 
+
+def study(args) -> int:
     inst = nl.build_nearly_linear(args.shape, 1.0, 1.0, args.epsilon, args.band_ratio)
     x0 = args.x0 if args.x0 is not None else inst.hi
     rows = []
     print(f"{'T':>6} {'mean':>12} {'mean*sqrtT':>12} {'se':>10} {'never':>6} {'rate':>8}")
-    for T in (int(tok) for tok in args.horizons.split(",")):
+    for T in args.horizons:
         stats = nl.simulate_paths(inst, T, args.trials, x0, seed=args.seed)
         mean, se = nl.expected_suboptimality(stats)
         try:

@@ -9,6 +9,9 @@ kernel :func:`sgd_steps`; only :func:`run_sgd` keeps a history.  A step
 whose answer is all +0.0 at a point the ball projection passed through
 does no arithmetic: the same array is yielded again (see :func:`sgd_steps`),
 so the long quiet prefix of a worst-case run costs one scan of each answer.
+One point of shape (1,) on an :class:`Interval` (a walk or a nearly linear
+path) steps in Python floats, bit for bit the array step, without the
+numpy call overhead of one-element arrays.
 
 An oracle is any object with
 
@@ -191,7 +194,19 @@ def sgd_steps(oracle, feasible, schedule: StepSchedule, x1, T: int,
     answer also rules out a non-finite one.  -0.0 entries do not qualify
     (x - eta*(-0.0) turns a -0.0 coordinate into +0.0), x_1 is always
     projected at step 1, and an :class:`Interval` projection never returns
-    its input, so the one-dimensional paths never make the test.
+    its input, so an Interval batch never makes the test.
+
+    Float form: one point of shape (1,) on an :class:`Interval` (not a
+    subclass, whose projection may differ) steps in Python floats: the
+    answer's one float, a ``math.isfinite`` test, ``x - eta*g`` and a
+    clip, and each step yields a new (1,) array.  The floats go through
+    the same IEEE operations as the array step, so the bits are the same.
+    x is read after the oracle call, as the array step reads it, so an
+    in-place write to x reaches the step in both forms.  The clip copies
+    ``np.minimum(hi, np.maximum(lo, y))``, which returns y, not the bound,
+    on a tie: a -0.0 y on a bound of +0.0 stays -0.0, and +0.0 on -0.0
+    stays +0.0.  Batches and other feasible sets take the array step; the
+    checks on an answer and their errors are the same in both forms.
     """
     x = np.atleast_1d(np.asarray(x1, dtype=float)).copy()
     if x.ndim not in (1, 2) or x.shape[-1] != feasible.dim:
@@ -203,6 +218,27 @@ def sgd_steps(oracle, feasible, schedule: StepSchedule, x1, T: int,
         oracle.reset(seed)
 
     yield 0, None, x
+    if x.shape == (1,) and type(feasible) is Interval:
+        # the float form: the array step's two operations and clip on floats
+        lo, hi = float(feasible.lo), float(feasible.hi)
+        for t, eta in enumerate(map(float, etas), start=1):
+            g = np.asarray(oracle.subgradient(x, t), dtype=float)
+            if g.ndim == 0:
+                g = g.reshape(1)
+            if g.shape != (1,):
+                raise ValueError(f"oracle returned shape {g.shape}, expected {x.shape}")
+            gv = g.item(0)
+            if not math.isfinite(gv):
+                raise ValueError(f"oracle returned a non-finite subgradient at step {t}")
+            y = x.item(0) - eta * gv
+            if y < lo:      # np.maximum(lo, y) and np.minimum(hi, .) keep y
+                y = lo      # on a tie, so a signed zero y survives a zero bound
+            elif y > hi:
+                y = hi
+            x = np.empty(1)
+            x[0] = y
+            yield t, g, x
+        return
     y = None    # the last projection's input: x is y when it passed through
     for t, eta in enumerate(etas, start=1):
         g = np.asarray(oracle.subgradient(x, t), dtype=float)

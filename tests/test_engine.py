@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -340,6 +341,109 @@ def test_one_oracle_call_per_step_with_pass_through():
                      np.array([0.0, -0.0]), T=9)
     assert oracle.calls == list(range(1, 10))
     assert np.array_equal(_bits(tr.gradients[3]), _bits([0.1, 0.0]))
+
+
+# ------------------------------------------------------------ float form
+# One point of shape (1,) on an Interval steps in Python floats; a (1, 1)
+# batch takes the array step.  Both must give the same bits, above all where
+# x - eta*g lands on a signed zero at a zero bound: np.maximum(lo, y) and
+# np.minimum(hi, y) return y on a tie, not the bound.
+
+class ShapedScript:
+    """Answers the t-th float of a script, shaped like the point asked."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def subgradient(self, x, t):
+        return np.full(x.shape, self.script[t - 1])
+
+
+_ZERO_BOUNDS = [(-0.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (-1.0, -0.0)]
+_ANSWERS = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 4.0, -4.0, 5e-324, -5e-324]
+
+
+def _float_and_array_runs(oracle, interval, schedule, x1, T):
+    """Bytes of (g, x) at every step of a (1,) run and of a (1, 1) batch."""
+    return [[(None if g is None else g.tobytes(), x.tobytes())
+             for _, g, x in eng.sgd_steps(oracle, interval, schedule, np.full(shape, x1), T)]
+            for shape in ((1,), (1, 1))]
+
+
+@pytest.mark.parametrize("bounds", _ZERO_BOUNDS)
+def test_float_form_matches_the_array_step_on_raw_bits(bounds):
+    lo, hi = bounds
+    iv = eng.Interval(lo, hi)
+    rng = np.random.default_rng(0)
+    schedules = [eng.StepSchedule("constant", value=0.5), eng.StepSchedule("inv_t")]
+    for x1 in (lo, hi, -lo, -hi, 0.5 * (lo + hi)):
+        if not iv.contains(x1):
+            continue
+        for sched in schedules:
+            for answer in _ANSWERS:     # T = 1 from each start, bounds included
+                single, batch = _float_and_array_runs(ShapedScript([answer]), iv, sched, x1, 1)
+                assert single == batch, (x1, answer)
+            for _ in range(20):
+                script = rng.choice(_ANSWERS, 30).tolist()
+                single, batch = _float_and_array_runs(ShapedScript(script), iv, sched, x1, 30)
+                assert single == batch, (x1, script)
+
+
+def test_float_form_steps_from_x_as_the_oracle_left_it():
+    class Nudging(ShapedScript):
+        def subgradient(self, x, t):
+            x[...] = 0.25 * t           # an oracle that writes into its query
+            return super().subgradient(x, t)
+
+    single, batch = _float_and_array_runs(Nudging([0.5, -0.5, 1.0]), eng.Interval(-1.0, 1.0),
+                                          eng.StepSchedule("inv_t"), 0.0, 3)
+    assert single == batch
+    assert single[1][1] == np.array([0.25 - 0.5]).tobytes()
+
+
+def test_float_form_keeps_a_signed_zero_on_a_zero_bound():
+    half = eng.StepSchedule("constant", value=0.5)
+
+    def last(lo, hi, x1, script):
+        *_, (_, _, x) = eng.sgd_steps(ShapedScript(script), eng.Interval(lo, hi), half,
+                                      np.array([x1]), len(script))
+        return x
+
+    # 0.5 - 0.5*1 is +0.0, which ties lo = -0.0: +0.0 stays
+    x = last(-0.0, 1.0, 0.5, [1.0])
+    assert x[0] == 0.0 and not np.signbit(x[0])
+    # from x1 = lo = -0.0, -0.0 - 0.5*(-0.0) is +0.0: +0.0 stays
+    x = last(-0.0, 1.0, -0.0, [-0.0])
+    assert x[0] == 0.0 and not np.signbit(x[0])
+    # from x1 = -0.0 on hi = +0.0, -0.0 - 0.5*0.0 is -0.0: -0.0 stays
+    x = last(-1.0, 0.0, -0.0, [0.0])
+    assert x[0] == 0.0 and np.signbit(x[0])
+    # past a bound the bound itself comes back
+    assert _bits(last(-0.0, 1.0, 0.5, [2.0])) == _bits([-0.0])
+    assert _bits(last(-1.0, 0.0, -0.5, [-2.0])) == _bits([0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float_form_rejects_a_non_finite_answer_like_the_array_step(bad):
+    for shape in ((1,), (1, 1)):
+        steps = eng.sgd_steps(ShapedScript([0.5, -0.5, bad, 0.0]), eng.Interval(-1.0, 1.0),
+                              eng.StepSchedule("inv_t"), np.zeros(shape), T=4)
+        assert [t for t, _, _ in itertools.islice(steps, 3)] == [0, 1, 2]
+        with pytest.raises(ValueError, match="^oracle returned a non-finite subgradient "
+                                             "at step 3$"):
+            next(steps)
+
+
+def test_float_form_rejects_a_wrong_shape_like_the_array_step():
+    class Wide:
+        def subgradient(self, x, t):
+            return np.zeros(3)
+
+    for shape in ((1,), (1, 1)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"oracle returned shape (3,), expected {shape}")):
+            list(eng.sgd_steps(Wide(), eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"),
+                               np.zeros(shape), T=2))
 
 
 def test_ball_project_returns_an_inside_point_itself():

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -33,6 +35,19 @@ def test_mc_scaling_study_rejects_shapes_that_need_knots():
                       "--horizons", "100")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "invalid choice" in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--trials", "50", "--horizons", "100"), "need at least 100 trials"),
+    (("--horizons", "100,x"), "not a comma-separated list of integers: '100,x'"),
+    (("--epsilon", "2"), "epsilon must lie in (0, 1]"),
+], ids=["trials", "horizons", "epsilon"])
+def test_mc_scaling_study_exits_2_on_inputs_it_cannot_serve(args, message):
+    proc = run_script("mc_scaling_study.py", *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
 
 
 def test_bound_vs_dimension_writes_curves(tmp_path):

@@ -14,6 +14,9 @@ ln(d)/32 (Lipschitz) on that scale, so each slope is printed next to its
 constant; all are written to slopes.json, with null for a family that ran
 fewer than two dimensions d >= 2.
 
+Exit status: the worst exit status of the sweeps (0 when every trajectory
+verifies), or 2 with one error line when --out-dir cannot be made or written.
+
 Usage:
     python scripts/bound_vs_dimension.py --T 4096 --out-dir results/
 """
@@ -52,7 +55,13 @@ def main() -> int:
     ap.add_argument("--dims", default="1,2,4,8,16,32,64")
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
+    try:
+        return study(args)
+    except OSError as exc:
+        ap.error(str(exc))
 
+
+def study(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     status = 0

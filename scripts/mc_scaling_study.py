@@ -57,6 +57,8 @@ def main() -> int:
 def study(args) -> int:
     inst = nl.build_nearly_linear(args.shape, 1.0, 1.0, args.epsilon, args.band_ratio)
     x0 = args.x0 if args.x0 is not None else inst.hi
+    if args.trials < nl.MIN_TRIALS:
+        raise ValueError(f"need at least {nl.MIN_TRIALS} trials for a stable mean")
     rows = []
     print(f"{'T':>6} {'mean':>12} {'mean*sqrtT':>12} {'se':>10} {'never':>6} {'rate':>8}")
     for T in args.horizons:

@@ -189,8 +189,8 @@ def cmd_walk(args) -> int:
                "bound_value": bound, "pass": bool(sub <= bound)}
     if args.format == "csv":
         header = ["i", "x", "a_i", "p_i", "f_x"]
-        rows = [(i, i / args.n, chain.left_probs[i], res.p[i], f(i / args.n))
-                for i in range(args.n + 1)]
+        rows = [(i, i / args.n, chain.left_probs[i], res.p[i], fx)
+                for i, fx in enumerate(f(chain.grid))]
         _emit_csv(header, rows, args.out)
     else:
         _emit_json(summary, args.out)
@@ -201,6 +201,8 @@ def cmd_mc(args) -> int:
     inst = nl.build_nearly_linear(args.shape, args.diameter, args.grad_bound,
                                   args.epsilon, args.band_ratio)
     x0 = args.x0 if args.x0 is not None else inst.hi
+    if args.trials < nl.MIN_TRIALS:
+        raise ValueError(f"need at least {nl.MIN_TRIALS} trials for a stable mean")
     stats = nl.simulate_paths(inst, args.T, args.trials, x0, seed=args.seed)
     mean, se = nl.expected_suboptimality(stats)
     try:

@@ -52,6 +52,9 @@ _FIT_MIN_HITS = 10
 #: x86_64 machine).
 TILE = 500
 
+#: fewest trials for a stable mean; callers check it before simulating
+MIN_TRIALS = 100
+
 #: shapes built from the band alone; "piecewise" also needs knots and slopes
 SHAPES = ("abs", "asym_abs")
 
@@ -461,8 +464,8 @@ def tail_estimate(stats: PathStats, k_max: int = 20) -> TailEstimate:
 
 def expected_suboptimality(stats: PathStats) -> tuple[float, float]:
     """Sample mean of f(x_T) - f* with its standard error."""
-    if stats.trials < 100:
-        raise ValueError("need at least 100 trials for a stable mean")
+    if stats.trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials for a stable mean")
     mean = float(stats.final_subopt.mean())
     se = float(stats.final_subopt.std(ddof=1) / math.sqrt(stats.trials))
     return mean, se

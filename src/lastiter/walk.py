@@ -18,6 +18,8 @@ computed here in log space, and its expected objective value is bounded by
 
 The walk runs as that SGD through the engine (:func:`simulate_chain_sgd`)
 with :class:`GridSignOracle`, the nearly linear study's two-point oracle.
+Objectives and subgradients map an array of points elementwise, as the
+:data:`PROFILES` do, and are called once per grid or block of values.
 """
 
 from __future__ import annotations
@@ -69,11 +71,11 @@ def _step(p: np.ndarray, sub, main, sup) -> np.ndarray:
 
 
 def make_chain(left_probs) -> WalkChain:
-    """Validate a probability profile and assemble the chain."""
+    """Validate a probability profile (NaN fails every test) and assemble the chain."""
     a = np.asarray(left_probs, dtype=float).copy()
     if a.ndim != 1 or a.shape[0] < 2:
         raise ValueError("need at least two grid points")
-    if np.any(a < 0.5 - _MONOTONE_TOL) or np.any(a > 1.0 + _MONOTONE_TOL):
+    if not np.all((a >= 0.5 - _MONOTONE_TOL) & (a <= 1.0 + _MONOTONE_TOL)):
         raise ValueError("left-move probabilities must lie in [1/2, 1]")
     if np.any(np.diff(a) < -_MONOTONE_TOL):
         raise ValueError("left-move probabilities must be nondecreasing")
@@ -82,31 +84,28 @@ def make_chain(left_probs) -> WalkChain:
     return WalkChain(n=a.shape[0] - 1, left_probs=a)
 
 
-def chain_from_function(f: Callable[[float], float], n: int,
-                        subgradient: Callable[[float], float] | None = None,
+def chain_from_function(f: Callable[[np.ndarray], np.ndarray], n: int,
+                        subgradient: Callable[[np.ndarray], np.ndarray] | None = None,
                         ) -> WalkChain:
     """Chain of the restricted oracle for a 1-Lipschitz convex f minimized at 0.
 
     a_i = (1 + b_i)/2 where b_i is a subgradient of f at i/n, so the +/-1
-    answers have the right mean.  ``subgradient`` may supply exact values;
-    otherwise a one-sided difference quotient with h = 1e-6 is used (right
-    derivative, except at the right endpoint).  Invalid profiles (negative
-    or decreasing slopes) are rejected by :func:`make_chain`.
+    answers have the right mean.  ``subgradient`` may supply exact values
+    (a scalar is broadcast); otherwise a one-sided difference quotient with
+    h = 1e-6 is used (right derivative, except at the right endpoint).
+    Invalid profiles (NaN, negative or decreasing slopes) are rejected.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     grid = np.arange(n + 1) / n
     if subgradient is not None:
-        b = np.array([subgradient(float(x)) for x in grid], dtype=float)
+        b = np.broadcast_to(np.asarray(subgradient(grid), dtype=float), grid.shape)
     else:
         h = 1e-6
-        b = np.empty(n + 1)
-        for k, x in enumerate(grid):
-            if x + h <= 1.0:
-                b[k] = (f(x + h) - f(x)) / h
-            else:
-                b[k] = (f(x) - f(x - h)) / h
-    if np.any(b < -_MONOTONE_TOL) or np.any(b > 1.0 + _MONOTONE_TOL):
+        right = grid + h <= 1.0
+        fx, fy = f(np.concatenate((grid, np.where(right, grid + h, grid - h)))).reshape(2, -1)
+        b = np.where(right, fy - fx, fx - fy) / h
+    if not np.all((b >= -_MONOTONE_TOL) & (b <= 1.0 + _MONOTONE_TOL)):
         raise ValueError("subgradients must lie in [0, 1] for a valid profile")
     return make_chain((1.0 + np.clip(b, 0.0, 1.0)) / 2.0)
 
@@ -189,13 +188,12 @@ def stationary_solve(chain: WalkChain, method: str = "linear_solve",
     raise ValueError(f"unknown method {method!r}")
 
 
-def stationary_suboptimality(chain: WalkChain, f: Callable[[float], float],
+def stationary_suboptimality(chain: WalkChain, f: Callable[[np.ndarray], np.ndarray],
                              p: np.ndarray | None = None) -> float:
     """Expected objective value sum_i p_i f(i/n) under the stationary law."""
     if p is None:
         p = stationary_closed_form(chain).p
-    fvals = np.array([f(float(x)) for x in chain.grid])
-    return float(p @ fvals)
+    return float(p @ f(chain.grid))
 
 
 def suboptimality_bound(n: int) -> float:
@@ -209,15 +207,14 @@ def suboptimality_bound(n: int) -> float:
 class GridSignOracle(TwoPointOracle):
     """Restricted oracle answering +/-1, P[+1] = a_i at x = i/n: i counts the
     midpoints (k + 1/2)/n <= x, the uniforms come from ``default_rng(seed)``,
-    and ``f`` takes one float at a time."""
+    and ``f`` maps an array of points to their values."""
 
-    def __init__(self, chain: WalkChain, f: Callable[[float], float]):
+    def __init__(self, chain: WalkChain, f: Callable[[np.ndarray], np.ndarray]):
         super().__init__((np.arange(chain.n) + 0.5) / chain.n, chain.left_probs, 1.0,
-                         lambda seed: [np.random.default_rng(seed)],
-                         lambda col: np.fromiter(map(f, map(float, col)), float, len(col)))
+                         lambda seed: [np.random.default_rng(seed)], f)
 
 
-def simulate_chain_sgd(chain: WalkChain, f: Callable[[float], float],
+def simulate_chain_sgd(chain: WalkChain, f: Callable[[np.ndarray], np.ndarray],
                        steps: int, seed: int = 0, start: float = 1.0) -> SgdTrace:
     """Run the walk as projected SGD on [0, 1] with constant step 1/n."""
     oracle = GridSignOracle(chain, f)
@@ -248,12 +245,12 @@ def quadratic_profile():
 
 def piecewise_profile():
     """f(x) = max(x/2, x - 1/4): slope 1/2 then 1, kink at 1/2."""
-    return (lambda x: max(0.5 * x, x - 0.25)), (lambda x: 0.5 if x < 0.5 else 1.0)
+    return (lambda x: np.maximum(0.5 * x, x - 0.25)), (lambda x: np.where(x < 0.5, 0.5, 1.0))
 
 
 def exp_profile():
     """f(x) = (e^x - 1)/e, subgradient e^(x-1) in [1/e, 1]."""
-    return (lambda x: (math.exp(x) - 1.0) / math.e), (lambda x: math.exp(x - 1.0))
+    return (lambda x: (np.exp(x) - 1.0) / math.e), (lambda x: np.exp(x - 1.0))
 
 
 PROFILES = {

@@ -1,11 +1,14 @@
 """The one-buffer staircase kernel, the dot-product norms, the in-place
-certificate sampling, the block-wise recorded values of ``run_sgd`` and the
-block-wise worst-case checks against the straightforward formulas they
-replaced.
+certificate sampling, the block-wise recorded values of ``run_sgd``, the
+block-wise worst-case checks and the walk's array profiles against the
+straightforward formulas they replaced.
 
 The references below are those formulas, kept here only.  Every comparison
-is on raw bits (``view(np.uint64)``), so a flipped sign of zero or a NaN in a
-different place fails as loudly as any other difference."""
+but the exp profile's (within one ulp of ``math.exp``) is on raw bits
+(``view(np.uint64)``), so a flipped sign of zero or a NaN in a different
+place fails as loudly as any other difference."""
+
+import math
 
 import numpy as np
 import pytest
@@ -221,6 +224,87 @@ def test_simulated_walk_values_match_per_step_f(name, block_rows):
     ch = wk.chain_from_function(f, 100, subgradient=df)
     trace = wk.simulate_chain_sgd(ch, f, steps=5000, seed=4)
     assert_bits(trace.values, np.array([f(float(x)) for x in trace.iterates[:, 0]]))
+
+
+# ------------------------------------------- walk profiles as array maps
+# each profile and subgradient once took one float; these are those
+# formulas, and the per-point difference-quotient loop of chain_from_function
+
+SCALAR_PROFILES = {
+    "linear": (lambda x: 0.5 * x, lambda x: 0.5),
+    "quadratic": (lambda x: 0.5 * x * x, lambda x: x),
+    "piecewise": (lambda x: max(0.5 * x, x - 0.25), lambda x: 0.5 if x < 0.5 else 1.0),
+}
+
+
+def grid_and_neighbours(n):
+    grid = np.arange(n + 1) / n
+    return np.concatenate([grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0)])
+
+
+def ref_difference_quotients(f, n, h=1e-6):
+    grid = np.arange(n + 1) / n
+    b = np.empty(n + 1)
+    for k, x in enumerate(grid):
+        if x + h <= 1.0:
+            b[k] = (f(x + h) - f(x)) / h
+        else:
+            b[k] = (f(x) - f(x - h)) / h
+    return b
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_PROFILES))
+@pytest.mark.parametrize("n", [1, 7, 100, 4000])
+def test_array_profiles_equal_the_scalar_formulas(name, n):
+    f, df = wk.profile(name)
+    ref_f, ref_df = SCALAR_PROFILES[name]
+    x = grid_and_neighbours(n)
+    assert_bits(f(x), np.array([ref_f(float(v)) for v in x]))
+    assert_bits(np.broadcast_to(df(x), x.shape), np.array([ref_df(float(v)) for v in x]))
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 4000])
+def test_exp_profile_within_one_ulp_of_math_exp(n):
+    # e^x - 1 is exact for x in [0, 1], so a one-ulp change of e^x moves
+    # f by at most that ulp
+    f, df = wk.profile("exp")
+    x = grid_and_neighbours(n)
+    ex = np.array([math.exp(v) for v in x])
+    assert np.all(np.abs(f(x) - (ex - 1.0) / math.e) <= np.spacing(ex))
+    ex1 = np.array([math.exp(v - 1.0) for v in x])
+    assert np.all(np.abs(df(x) - ex1) <= np.spacing(ex1))
+
+
+@pytest.mark.parametrize("name", ["linear", "quadratic", "piecewise", "exp"])
+@pytest.mark.parametrize("n", [1, 7, 100, 4000])
+def test_difference_quotients_equal_the_per_point_loop(name, n):
+    f, _ = wk.profile(name)
+    want = (1.0 + np.clip(ref_difference_quotients(f, n), 0.0, 1.0)) / 2.0
+    assert_bits(wk.chain_from_function(f, n).left_probs, want)
+
+
+def test_walk_calls_f_once_per_grid_and_value_block(monkeypatch):
+    f, df = wk.profile("quadratic")
+    shapes = []
+
+    def counted(g):
+        def call(x):
+            shapes.append(np.shape(x))
+            return g(x)
+        return call
+
+    ch = wk.chain_from_function(f, 20, subgradient=counted(df))
+    assert shapes == [(21,)]
+    shapes.clear()
+    wk.chain_from_function(counted(f), 20)
+    assert shapes == [(42,)]
+    shapes.clear()
+    wk.stationary_suboptimality(ch, counted(f))
+    assert shapes == [(21,)]
+    shapes.clear()
+    monkeypatch.setattr(engine, "VALUE_BLOCK", 7)
+    wk.simulate_chain_sgd(ch, counted(f), steps=20, seed=1)
+    assert shapes == [(7,), (7,), (7,)]
 
 
 # --------------------------------------- worst-case checks, block by block

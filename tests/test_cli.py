@@ -188,6 +188,17 @@ def test_mc_flags_degenerate_oracle_and_tail_fit(tmp_path, epsilon, degenerate, 
         assert rep["fitted_rate"] is None and rep["tail"] == []
 
 
+def test_mc_checks_the_trial_floor_before_simulating(monkeypatch, capsys):
+    def simulate_paths(*args, **kwargs):
+        raise AssertionError("simulate_paths ran")
+    monkeypatch.setattr(cli.nl, "simulate_paths", simulate_paths)
+    with pytest.raises(SystemExit) as exc:
+        run(["mc", "--T", "100", "--trials", "50"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "lastiter: error: need at least 100 trials for a stable mean"
+
+
 def test_sweep_csv_curve_and_idempotence(tmp_path):
     out = tmp_path / "sweep.csv"
     curve = tmp_path / "curve.csv"

@@ -44,10 +44,23 @@ def test_mc_scaling_study_rejects_shapes_that_need_knots():
 ], ids=["trials", "horizons", "epsilon"])
 def test_mc_scaling_study_exits_2_on_inputs_it_cannot_serve(args, message):
     proc = run_script("mc_scaling_study.py", *args)
-    assert proc.returncode == 2
+    assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-file"])
+def test_bound_vs_dimension_exits_2_on_an_out_dir_it_cannot_make(tmp_path, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out_dir = blocker / "sub" if under else blocker
+    proc = run_script("bound_vs_dimension.py", "--T", "4", "--dims", "1",
+                      "--out-dir", str(out_dir))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and str(out_dir) in errors[0]
 
 
 def test_bound_vs_dimension_writes_curves(tmp_path):

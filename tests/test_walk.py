@@ -46,6 +46,9 @@ def test_make_chain_validation():
         wk.make_chain([0.6, 0.8, 1.2])        # above 1
     with pytest.raises(ValueError):
         wk.make_chain([0.6])                  # single point
+    for a in ([math.nan, 0.7, 0.8], [0.6, math.nan, 0.8], [0.6, 0.7, math.nan]):
+        with pytest.raises(ValueError):
+            wk.make_chain(a)
 
 
 def test_chain_from_function_examples():
@@ -75,8 +78,12 @@ def test_chain_from_function_rejects_invalid_f():
         wk.chain_from_function(lambda x: -x, 10, subgradient=lambda x: -1.0)
     with pytest.raises(ValueError):
         # concave: slopes decrease
-        wk.chain_from_function(lambda x: math.sqrt(x), 10,
-                               subgradient=lambda x: 1.0 - 0.5 * x)
+        wk.chain_from_function(np.sqrt, 10, subgradient=lambda x: 1.0 - 0.5 * x)
+    with pytest.raises(ValueError):
+        wk.chain_from_function(lambda x: 0.5 * x, 4, subgradient=lambda x: math.nan)
+    with pytest.raises(ValueError):
+        # NaN from f reaches the difference quotients
+        wk.chain_from_function(lambda x: np.where(x > 0.5, math.nan, x), 4)
 
 
 # ----------------------------------------------------------- stationary law

@@ -1,8 +1,8 @@
 """Batch experiment runner.
 
 Subcommands: lowerbound, verify, certify, walk, mc, sweep.  Every one takes
---out PATH (default stdout) and --config FILE, a flat key=value file whose
-values explicit flags override.  --format csv|json is taken by lowerbound,
+--out PATH (default stdout) and --config FILE (or any prefix of --config), a
+flat key=value file whose values explicit flags override.  --format csv|json is taken by lowerbound,
 verify, walk and mc (certify writes JSON, sweep CSV), --seed N by certify
 and mc, and --jobs N by sweep; the default worker count honors the
 LASTITER_JOBS environment variable.  Exit status: 0 when every embedded
@@ -203,6 +203,8 @@ def cmd_mc(args) -> int:
     x0 = args.x0 if args.x0 is not None else inst.hi
     if args.trials < nl.MIN_TRIALS:
         raise ValueError(f"need at least {nl.MIN_TRIALS} trials for a stable mean")
+    if args.kmax < 2:
+        raise ValueError(f"kmax must be >= 2 for a tail fit, got {args.kmax}")
     stats = nl.simulate_paths(inst, args.T, args.trials, x0, seed=args.seed)
     mean, se = nl.expected_suboptimality(stats)
     try:
@@ -326,8 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--profile", choices=sorted(wk.PROFILES), default="quadratic")
     p.add_argument("--slope", type=float, default=0.5, help="slope for the linear profile")
-    p.add_argument("--method",
-                   choices=("closed_form", "linear_solve", "power_iteration"),
+    p.add_argument("--method", choices=("closed_form", "linear_solve"),
                    default="closed_form")
     _add_common(p, fmt=True)
     p.set_defaults(func=cmd_walk)
@@ -372,26 +373,14 @@ def _load_config(path: str) -> list[str]:
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE into its key=value flags, placed before the
-    explicit flags so the command line wins."""
-    out, cfg = [], None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 == len(argv):
-                raise ValueError("--config needs a file path")
-            cfg = argv[i + 1]
-            i += 2
-        elif tok.startswith("--config="):
-            cfg = tok.split("=", 1)[1]
-            i += 1
-        else:
-            out.append(tok)
-            i += 1
-    if cfg is None or not out:
+    """Put the key=value flags of --config FILE (or of any prefix of
+    --config) right after the subcommand, so the explicit flags win."""
+    pre = argparse.ArgumentParser(prog="lastiter", add_help=False)
+    pre.add_argument("--config")
+    found, rest = pre.parse_known_args(argv)
+    if found.config is None or not rest:
         return argv
-    return [out[0]] + _load_config(cfg) + out[1:]
+    return rest[:1] + _load_config(found.config) + rest[1:]
 
 
 def main(argv=None) -> int:

@@ -62,13 +62,6 @@ ACTIVE_TOL = 1e-10
 # certificate its largest subgradient norm)
 SLACK_TOL = 1e-12
 
-_SCHEDULES = {
-    STRONGLY_CONVEX: "inv_t",
-    LIPSCHITZ_DECREASING: "inv_sqrt_t",
-    LIPSCHITZ_FIXED: "inv_sqrt_horizon",
-}
-
-
 @dataclass(frozen=True)
 class AdversarialInstance:
     """One worst-case instance: family tag, dimension d, horizon T and the
@@ -100,8 +93,11 @@ class AdversarialInstance:
         return 3.0 if self.quadratic else 1.0
 
     def schedule(self) -> StepSchedule:
-        kind = _SCHEDULES[self.family]
-        return StepSchedule(kind, horizon=self.T)
+        if self.family == STRONGLY_CONVEX:
+            return StepSchedule("inv_t")
+        if self.family == LIPSCHITZ_DECREASING:
+            return StepSchedule("inv_sqrt_t")
+        return StepSchedule("constant", value=1.0 / np.sqrt(self.T))
 
     def feasible(self) -> Ball:
         return Ball(radius=1.0, dim=self.d)

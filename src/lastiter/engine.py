@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCHEDULE_KINDS = ("inv_t", "inv_sqrt_t", "inv_sqrt_horizon", "constant")
+SCHEDULE_KINDS = ("inv_t", "inv_sqrt_t", "constant")
 
 #: floats per ``oracle.value`` block in :func:`run_sgd` (32 rows at d = 1024),
 #: so that the oracle's temporaries stay small beside the recorded history;
@@ -52,39 +52,31 @@ class StepSchedule:
     """Step sizes eta_t for t = 1..T.
 
     kind:
-        "inv_t"             eta_t = 1/t
-        "inv_sqrt_t"        eta_t = 1/sqrt(t)
-        "inv_sqrt_horizon"  eta_t = 1/sqrt(T) for all t; needs ``horizon``
-        "constant"          eta_t = value; needs ``value``
+        "inv_t"       eta_t = 1/t
+        "inv_sqrt_t"  eta_t = 1/sqrt(t)
+        "constant"    eta_t = value, a finite positive float (lip-fixed's
+                      fixed step is ``value=1.0 / np.sqrt(T)``)
     """
 
     kind: str
-    horizon: int | None = None
     value: float | None = None
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "inv_sqrt_horizon":
-            if self.horizon is None or self.horizon < 1:
-                raise ValueError("inv_sqrt_horizon needs a positive horizon")
         if self.kind == "constant":
-            if self.value is None or not self.value > 0:
-                raise ValueError("constant schedule needs a positive value")
+            if self.value is None or not 0 < self.value < math.inf:
+                raise ValueError("constant schedule needs a finite positive value")
 
     def sizes(self, T: int) -> np.ndarray:
         """Step sizes eta_1..eta_T of a run of T steps, computed exactly."""
         if T < 1:
             raise ValueError("T must be >= 1")
-        if self.horizon is not None and T > self.horizon:
-            raise ValueError(f"T = {T} exceeds the schedule horizon {self.horizon}")
         t = np.arange(1, T + 1)
         if self.kind == "inv_t":
             return 1.0 / t
         if self.kind == "inv_sqrt_t":
             return 1.0 / np.sqrt(t)
-        if self.kind == "inv_sqrt_horizon":
-            return np.full(T, 1.0 / np.sqrt(self.horizon))
         return np.full(T, float(self.value))
 
 

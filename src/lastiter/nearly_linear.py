@@ -108,8 +108,8 @@ def build_nearly_linear(shape: str, diameter: float, grad_bound: float,
     """
     if shape not in (*SHAPES, "piecewise"):
         raise ValueError(f"unknown shape {shape!r}")
-    if not diameter > 0 or not grad_bound > 0:
-        raise ValueError("diameter and grad_bound must be positive")
+    if not (0 < diameter < math.inf and 0 < grad_bound < math.inf):
+        raise ValueError("diameter and grad_bound must be finite and positive")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     if not 0.0 < band_ratio <= 1.0:
@@ -200,10 +200,11 @@ def good_set(inst: NearlyLinearInstance, T: int) -> GoodSet:
     ``f <= threshold`` end on the segment whose inner knot is the last one
     at or below the threshold (or at the domain end), and each endpoint is
     the last float of that segment, counted from 0, with ``f <= threshold``.
-    It is found from the inverse interpolation by doubling steps and then
-    bisection over the float ordinals of |x|, never a float at a time:
-    rounding in f near a far knot can span 10^14 floats on the left branch.
-    The next float outward leaves the domain or has ``f > threshold``.
+    It is found by bisection over the float ordinals of |x| from the
+    segment's inner knot (inside) to its outer knot (outside): at most 63
+    evaluations of f, where a float-by-float walk could take 10^14 (rounding
+    near a far knot on the left branch).  The next float outward leaves the
+    domain or has ``f > threshold``.
 
     At an interior knot np.interp switches segments, and its rounding can
     put the float next to the knot an ulp out of order with the knot value
@@ -217,8 +218,8 @@ def good_set(inst: NearlyLinearInstance, T: int) -> GoodSet:
     theta = inst.grad_bound * inst.diameter / math.sqrt(T)
     z = int(np.searchsorted(inst.knots, 0.0))  # knots[z] == 0
 
-    def end(knots, values, slopes) -> float:
-        # branch knots from 0 outward, f rising from 0; slopes[k] joins knots k, k+1
+    def end(knots, values) -> float:
+        # branch knots from 0 outward, f rising from 0
         k = int(np.searchsorted(values, theta, side="right")) - 1  # last knot with f <= theta
         if k == len(knots) - 1:
             return float(knots[k])
@@ -229,18 +230,6 @@ def good_set(inst: NearlyLinearInstance, T: int) -> GoodSet:
 
         # invariant: inside(lo) and not inside(hi), ordinals of |x|
         lo, hi = _ordinal(abs(knots[k])), _ordinal(abs(knots[k + 1]))
-        guess = _ordinal(abs(knots[k] + (theta - values[k]) / slopes[k]))
-        n, step = min(max(guess, lo), hi), 1
-        if inside(n):
-            lo = n
-            while lo + step < hi and inside(lo + step):
-                lo, step = lo + step, 2 * step
-            hi = min(lo + step, hi)
-        else:
-            hi = n
-            while hi - step > lo and not inside(hi - step):
-                hi, step = hi - step, 2 * step
-            lo = max(hi - step, lo)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if inside(mid):
@@ -249,8 +238,8 @@ def good_set(inst: NearlyLinearInstance, T: int) -> GoodSet:
                 hi = mid
         return sign * _from_ordinal(lo)
 
-    right = end(inst.knots[z:], inst.knot_values[z:], inst.slopes[z:])
-    left = end(inst.knots[z::-1], inst.knot_values[z::-1], inst.slopes[z - 1::-1])
+    right = end(inst.knots[z:], inst.knot_values[z:])
+    left = end(inst.knots[z::-1], inst.knot_values[z::-1])
     return GoodSet(left=left, right=right, threshold=theta)
 
 
@@ -444,9 +433,11 @@ def tail_estimate(stats: PathStats, k_max: int = 20) -> TailEstimate:
     """Tail probabilities at multiples of the good-set threshold, plus the
     exponential decay rate fitted on bins with at least ``_FIT_MIN_HITS`` hits.
 
-    Raises ValueError when fewer than two bins qualify (not enough trials to
-    see the decay).
+    Raises ValueError when ``k_max < 2`` (a fit needs two bins with k >= 1)
+    or when fewer than two bins qualify (not enough trials to see the decay).
     """
+    if k_max < 2:
+        raise ValueError(f"kmax must be >= 2 for a tail fit, got {k_max}")
     ks = np.arange(k_max + 1)
     thresholds = ks * stats.threshold
     counts = np.array([int(np.sum(stats.final_subopt >= thr)) for thr in thresholds])

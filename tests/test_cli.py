@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+import warnings
 
 import pytest
 
@@ -151,6 +152,16 @@ def test_walk_json_and_csv(tmp_path):
     assert float(lines[1].split(",")[2]) == 0.75
 
 
+def test_walk_method_power_iteration_is_a_usage_error(capsys):
+    # the library keeps it as a cross-check; the CLI offers the O(n) routes
+    with pytest.raises(SystemExit) as exc:
+        run(["walk", "--n", "10", "--method", "power_iteration"])
+    assert exc.value.code == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error" in l]
+    assert len(errors) == 1
+    assert errors[0].startswith("lastiter walk: error: argument --method: invalid choice")
+
+
 def test_mc_csv_and_json(tmp_path):
     out_csv = tmp_path / "mc.csv"
     args = ["mc", "--shape", "abs", "--epsilon", "0.5", "--T", "100",
@@ -197,6 +208,35 @@ def test_mc_checks_the_trial_floor_before_simulating(monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert err[-1] == "lastiter: error: need at least 100 trials for a stable mean"
+
+
+@pytest.mark.parametrize("kmax", ["1", "0", "-3"])
+def test_mc_checks_kmax_before_simulating(kmax, monkeypatch, capsys):
+    # a tail fit needs two bins with k >= 1, whatever the trial count
+    def simulate_paths(*args, **kwargs):
+        raise AssertionError("simulate_paths ran")
+    monkeypatch.setattr(cli.nl, "simulate_paths", simulate_paths)
+    with pytest.raises(SystemExit) as exc:
+        run(["mc", "--T", "400", "--trials", "5000", "--kmax", kmax])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"lastiter: error: kmax must be >= 2 for a tail fit, got {kmax}"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--diameter", "inf", "diameter and grad_bound must be finite and positive"),
+    ("--grad-bound", "inf", "diameter and grad_bound must be finite and positive"),
+    # finite, but the step 4D/(G sqrt(T)) overflows
+    ("--diameter", "1e308", "constant schedule needs a finite positive value"),
+], ids=["diameter-inf", "grad-bound-inf", "diameter-1e308"])
+def test_mc_rejects_non_finite_inputs(flag, value, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        with pytest.raises(SystemExit) as exc:
+            run(["mc", "--T", "100", "--trials", "100", flag, value])
+    assert exc.value.code == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error" in l]
+    assert errors == [f"lastiter: error: {message}"]
 
 
 def test_sweep_csv_curve_and_idempotence(tmp_path):
@@ -250,6 +290,19 @@ def test_config_file_with_flag_override(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["family"] == "sc"  # from the file
     assert rep["d"] == 4 and rep["T"] == 16  # flags win
+
+
+def test_config_prefix_reads_the_file(tmp_path):
+    # argparse takes any prefix of --config as --config; each reads the file
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("family=lip-dec\nd=2\nT=8\nformat=csv\n")
+    outs = {}
+    for flag in ("--config", "--conf", "--c"):
+        outs[flag] = tmp_path / f"{flag.strip('-')}.csv"
+        assert run(["verify", flag, str(cfg), "--out", str(outs[flag])]) == 0
+    first = outs["--config"].read_bytes()
+    assert first.startswith(b"family,d,T,max_deviation,final_value,bound,pass\nlip-dec,2,8,")
+    assert all(out.read_bytes() == first for out in outs.values())
 
 
 def test_jobs_default_from_environment(monkeypatch):

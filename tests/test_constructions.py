@@ -53,6 +53,12 @@ def test_build_lip_dec_depths():
     assert inst.schedule().kind == "inv_sqrt_t"
 
 
+def test_lip_fixed_schedule_is_one_over_sqrt_T():
+    for T in (1, 2, 3, 64, 1000, 4097, 10 ** 5):
+        sizes = cons.build_instance("lip-fixed", 1, T).schedule().sizes(T)
+        assert sizes.tolist() == [1.0 / math.sqrt(T)] * T, T
+
+
 def test_build_validation():
     with pytest.raises(ValueError):
         cons.build_instance("sc", 0, 4)

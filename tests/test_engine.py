@@ -49,7 +49,6 @@ class CoinOracle:
 
 def test_schedule_exact_values():
     assert eng.StepSchedule("inv_t").sizes(4)[3] == 0.25
-    assert eng.StepSchedule("inv_sqrt_horizon", horizon=16).sizes(7)[6] == 0.25
     assert eng.StepSchedule("inv_sqrt_t").sizes(9)[8] == 1.0 / 3.0
     assert eng.StepSchedule("constant", value=0.5).sizes(123456)[-1] == 0.5
     # the engine evaluates a run's step sizes once, as an array; it must
@@ -57,23 +56,18 @@ def test_schedule_exact_values():
     T = 5000
     for s, eta in ((eng.StepSchedule("inv_t"), lambda t: 1.0 / t),
                    (eng.StepSchedule("inv_sqrt_t"), lambda t: 1.0 / math.sqrt(t)),
-                   (eng.StepSchedule("inv_sqrt_horizon", horizon=T),
-                    lambda t: 1.0 / math.sqrt(T)),
                    (eng.StepSchedule("constant", value=0.3), lambda t: 0.3)):
         assert s.sizes(T).tolist() == [eta(t) for t in range(1, T + 1)], s.kind
 
 
 def test_schedule_range_and_validation():
-    s = eng.StepSchedule("inv_t", horizon=10)
+    s = eng.StepSchedule("inv_t")
     assert s.sizes(10).shape == (10,)
     with pytest.raises(ValueError):
         s.sizes(0)
-    with pytest.raises(ValueError):
-        s.sizes(11)
-    with pytest.raises(ValueError):
-        eng.StepSchedule("inv_sqrt_horizon")
-    with pytest.raises(ValueError):
-        eng.StepSchedule("constant", value=0.0)
+    for value in (None, 0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite positive value"):
+            eng.StepSchedule("constant", value=value)
     with pytest.raises(ValueError):
         eng.StepSchedule("bogus")
 
@@ -81,7 +75,7 @@ def test_schedule_range_and_validation():
 def test_schedule_positive():
     # every step size of a run of 10^6 steps
     for s in (eng.StepSchedule("inv_t"), eng.StepSchedule("inv_sqrt_t"),
-              eng.StepSchedule("inv_sqrt_horizon", horizon=10 ** 6)):
+              eng.StepSchedule("constant", value=1.0 / math.sqrt(10 ** 6))):
         assert np.all(s.sizes(10 ** 6) > 0)
 
 

@@ -92,6 +92,10 @@ def test_build_parameter_validation():
         nl.build_nearly_linear("abs", 1.0, 1.0, 1.5)
     with pytest.raises(ValueError):
         nl.build_nearly_linear("abs", -1.0, 1.0, 0.5)
+    for diameter, grad_bound in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                                 (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            nl.build_nearly_linear("abs", diameter, grad_bound, 0.5)
     with pytest.raises(ValueError):
         nl.build_nearly_linear("bogus", 1.0, 1.0, 0.5)
 
@@ -124,11 +128,11 @@ def test_good_set_endpoints_are_exact(monkeypatch):
     f = nl.NearlyLinearInstance.f
 
     def counted_f(self, x):
-        # doubling plus bisection over 63-bit ordinals needs at most 2 x 127
-        # calls for two endpoints; a float-by-float walk needs ~10^14 at
-        # abs eps 1, T = 10^30, so it fails here instead of running on
+        # bisection over ordinals below 2^63 needs at most 2 x 63 calls for
+        # two endpoints; a float-by-float walk needs ~10^14 at abs eps 1,
+        # T = 10^30, so it fails here instead of running on
         calls.append(1)
-        assert len(calls) <= 256, "good_set walks the floats"
+        assert len(calls) <= 126, "good_set walks the floats"
         return f(self, x)
 
     for inst in (abs_instance(0.1), abs_instance(0.5), abs_instance(1.0),
@@ -302,6 +306,12 @@ def test_tail_estimate_rows_and_rate():
     probs = [p for _, p in rows]
     assert all(p1 >= p2 for p1, p2 in zip(probs, probs[1:]))  # tail is monotone
     assert tail.rate < -0.1
+    # a fit needs two bins with k >= 1: k_max = 2 fits these trials, and a
+    # smaller k_max is an error of its own, not a shortage of trials
+    assert nl.tail_estimate(stats, k_max=2).rate < 0
+    for k_max in (1, 0, -3):
+        with pytest.raises(ValueError, match="kmax must be >= 2"):
+            nl.tail_estimate(stats, k_max=k_max)
 
 
 def test_tail_estimate_insufficient_trials():

@@ -368,7 +368,11 @@ def _load_config(path: str) -> list[str]:
             key, _, value = line.partition("=")
             if not _:
                 raise ValueError(f"bad config line in {path} (want key=value): {line!r}")
-            flags.append(f"--{key.strip()}={value.strip()}")
+            key = key.strip()
+            if key and "config".startswith(key):     # argparse's --config or a prefix
+                raise ValueError(f"config file {path} names another config file "
+                                 f"({key}={value.strip()}); config files do not nest")
+            flags.append(f"--{key}={value.strip()}")
     return flags
 
 

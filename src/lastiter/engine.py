@@ -11,7 +11,8 @@ does no arithmetic: the same array is yielded again (see :func:`sgd_steps`),
 so the long quiet prefix of a worst-case run costs one scan of each answer.
 One point of shape (1,) on an :class:`Interval` (a walk or a nearly linear
 path) steps in Python floats, bit for bit the array step, without the
-numpy call overhead of one-element arrays.
+numpy call overhead of one-element arrays, and :func:`run_sgd` stores those
+floats straight into its history, with no (1,) array or row store per step.
 
 An oracle is any object with
 
@@ -189,17 +190,31 @@ def sgd_steps(oracle, feasible, schedule: StepSchedule, x1, T: int,
     its input, so an Interval batch never makes the test.
 
     Float form: one point of shape (1,) on an :class:`Interval` (not a
-    subclass, whose projection may differ) steps in Python floats: the
-    answer's one float, a ``math.isfinite`` test, ``x - eta*g`` and a
-    clip, and each step yields a new (1,) array.  The floats go through
-    the same IEEE operations as the array step, so the bits are the same.
-    x is read after the oracle call, as the array step reads it, so an
-    in-place write to x reaches the step in both forms.  The clip copies
-    ``np.minimum(hi, np.maximum(lo, y))``, which returns y, not the bound,
-    on a tie: a -0.0 y on a bound of +0.0 stays -0.0, and +0.0 on -0.0
-    stays +0.0.  Batches and other feasible sets take the array step; the
-    checks on an answer and their errors are the same in both forms.
+    subclass, whose projection may differ) steps in Python floats (see
+    :func:`_float_steps`), and each step yields the new point in a new
+    (1,) array.  The floats go through the same IEEE operations as the
+    array step, so the bits are the same.  The oracle is then queried with
+    one (1,) array of the kernel's, overwritten with the new point after
+    each step, so an oracle must not keep the array it is asked about; x
+    is read after the call, as the array step reads it, so an in-place
+    write to x reaches the step in both forms.  Batches and other feasible
+    sets take the array step; the checks on an answer and their errors are
+    the same in both forms.
     """
+    x, etas = _start(oracle, feasible, schedule, x1, T, seed)
+    yield 0, None, x
+    if _in_floats(x, feasible):
+        for t, g, y in _float_steps(oracle, feasible, etas, x):
+            x = np.empty(1)
+            x[0] = y
+            yield t, g, x
+    else:
+        yield from _array_steps(oracle, feasible, etas, x)
+
+
+def _start(oracle, feasible, schedule: StepSchedule, x1, T: int, seed: int):
+    """The checked start point, as a new array, and the step sizes of a run;
+    resets the oracle when it has ``reset``."""
     x = np.atleast_1d(np.asarray(x1, dtype=float)).copy()
     if x.ndim not in (1, 2) or x.shape[-1] != feasible.dim:
         raise ValueError(f"x1 has dimension {x.shape}, feasible set wants {feasible.dim}")
@@ -208,29 +223,52 @@ def sgd_steps(oracle, feasible, schedule: StepSchedule, x1, T: int,
     etas = schedule.sizes(T)
     if hasattr(oracle, "reset"):
         oracle.reset(seed)
+    return x, etas
 
-    yield 0, None, x
-    if x.shape == (1,) and type(feasible) is Interval:
-        # the float form: the array step's two operations and clip on floats
-        lo, hi = float(feasible.lo), float(feasible.hi)
-        for t, eta in enumerate(map(float, etas), start=1):
-            g = np.asarray(oracle.subgradient(x, t), dtype=float)
-            if g.ndim == 0:
-                g = g.reshape(1)
-            if g.shape != (1,):
-                raise ValueError(f"oracle returned shape {g.shape}, expected {x.shape}")
-            gv = g.item(0)
-            if not math.isfinite(gv):
-                raise ValueError(f"oracle returned a non-finite subgradient at step {t}")
-            y = x.item(0) - eta * gv
-            if y < lo:      # np.maximum(lo, y) and np.minimum(hi, .) keep y
-                y = lo      # on a tie, so a signed zero y survives a zero bound
-            elif y > hi:
-                y = hi
-            x = np.empty(1)
-            x[0] = y
-            yield t, g, x
-        return
+
+def _in_floats(x: np.ndarray, feasible) -> bool:
+    """Whether a run from x takes the float form."""
+    return x.shape == (1,) and type(feasible) is Interval
+
+
+def _float_steps(oracle, feasible, etas, x1: np.ndarray):
+    """The float form: yield ``(t, g_t, x_{t+1})`` for t = 1..T with x_{t+1}
+    a Python float.
+
+    A step is the array step's two operations and clip on floats: the
+    answer's one float, a ``math.isfinite`` test, ``x - eta*g`` and the
+    clip.  The clip copies ``np.minimum(hi, np.maximum(lo, y))``, which
+    returns y, not the bound, on a tie: a -0.0 y on a bound of +0.0 stays
+    -0.0, and +0.0 on -0.0 stays +0.0.  The oracle is queried with one
+    (1,) array, a copy of ``x1``, that takes each new point; nothing
+    yielded is written to afterwards (an answer that is the query array
+    itself, or a view of it, is yielded as a copy).
+    """
+    lo, hi = float(feasible.lo), float(feasible.hi)
+    x = x1.copy()
+    for t, eta in enumerate(map(float, etas), start=1):
+        g = np.asarray(oracle.subgradient(x, t), dtype=float)
+        if g.ndim == 0:
+            g = g.reshape(1)
+        if g.shape != (1,):
+            raise ValueError(f"oracle returned shape {g.shape}, expected {x.shape}")
+        gv = g.item(0)
+        if not math.isfinite(gv):
+            raise ValueError(f"oracle returned a non-finite subgradient at step {t}")
+        y = x.item(0) - eta * gv
+        if y < lo:      # np.maximum(lo, y) and np.minimum(hi, .) keep y
+            y = lo      # on a tie, so a signed zero y survives a zero bound
+        elif y > hi:
+            y = hi
+        if g is x or g.base is x:   # an answer that x[0] = y would change
+            g = g.copy()
+        x[0] = y
+        yield t, g, y
+
+
+def _array_steps(oracle, feasible, etas, x: np.ndarray):
+    """The array step: yield ``(t, g_t, x_{t+1})`` for t = 1..T, with the
+    pass-through of :func:`sgd_steps`."""
     y = None    # the last projection's input: x is y when it passed through
     for t, eta in enumerate(etas, start=1):
         g = np.asarray(oracle.subgradient(x, t), dtype=float)
@@ -253,23 +291,30 @@ def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
     """Run one path of :func:`sgd_steps` and record everything.
 
     ``x1`` must be a single point; ``seed`` is forwarded to ``oracle.reset``
-    when the oracle has one, and deterministic oracles ignore it.  The
-    values f(x_1)..f(x_{T+1}) are computed after the run, by one
-    ``oracle.value`` call per block of at most ``VALUE_BLOCK`` floats of
-    iterates (k rows of d); each call must return shape (k,), else
-    ValueError.
+    when the oracle has one, and deterministic oracles ignore it.  A path
+    in the float form is recorded from :func:`_float_steps` as floats, with
+    no (1,) array per step.  The values f(x_1)..f(x_{T+1}) are computed
+    after the run, by one ``oracle.value`` call per block of at most
+    ``VALUE_BLOCK`` floats of iterates (k rows of d); each call must return
+    shape (k,), else ValueError.
     """
     if np.ndim(x1) > 1:
         raise ValueError(f"run_sgd records a single path; x1 has shape {np.shape(x1)}")
-    steps = sgd_steps(oracle, feasible, schedule, x1, T, seed)
-    _, _, x = next(steps)
+    x, etas = _start(oracle, feasible, schedule, x1, T, seed)
     iterates = np.empty((T + 1, x.shape[0]))
     gradients = np.empty((T, x.shape[0]))
     values = np.empty(T + 1)
     iterates[0] = x
-    for t, g, x in steps:
-        gradients[t - 1] = g
-        iterates[t] = x
+    if _in_floats(x, feasible):
+        xs, gs = iterates.reshape(-1), gradients.reshape(-1)    # views, one float a row
+        for t, g, y in _float_steps(oracle, feasible, etas, x):
+            gs[t - 1] = g.item(0)
+            xs[t] = y
+    else:
+        for t, g, x in _array_steps(oracle, feasible, etas, x):
+            gradients[t - 1] = g
+            iterates[t] = x
+    del etas    # T floats that the value blocks do not need
     rows = block_rows(x.shape[0])
     for s in range(0, T + 1, rows):
         block = iterates[s:s + rows]

@@ -45,12 +45,14 @@ _BAND_TOL = 1e-12
 #: hits a tail bin needs to enter the decay fit
 _FIT_MIN_HITS = 10
 
-#: steps of uniforms drawn from each trial's stream at a time.  Not a power
-#: of two: a step reads one column of the (B, TILE) tile, and a power-of-two
-#: row stride (512 doubles = 4096 bytes) maps every row of that column to the
-#: same few cache sets (about 5 us more per step at B = 2048 on a 2-vCPU
-#: x86_64 machine).
+#: steps of uniforms drawn from each trial's stream at a time: a batch holds
+#: them as one (TILE, B) tile, 8 MB at B = 2048, and step t reads its B
+#: uniforms as one contiguous row of it
 TILE = 500
+
+#: streams drawn into the scratch block at a time when a batch refills its
+#: tile; the block, (_FILL_STREAMS, TILE), is then copied in transposed
+_FILL_STREAMS = 32
 
 #: fewest trials for a stable mean; callers check it before simulating
 MIN_TRIALS = 100
@@ -339,8 +341,11 @@ class TwoPointOracle:
     after ``reset``; ``f`` maps a (k,) array of points to their values.  One
     point of shape (1,) is answered in Python floats (a ``bisect_right``, a
     list of TILE uniforms: the doubles of one ``random()`` call per step),
-    a batch of shape (B, 1) with one comparison per cut and table lookups,
-    from a (B, TILE) buffer of uniforms refilled in place."""
+    a batch of shape (B, 1) with one comparison per cut and table lookups.
+    A batch holds its uniforms step-major, as a (TILE, B) tile whose row
+    for a step is contiguous; each refill draws ``_FILL_STREAMS`` streams at
+    a time into a small scratch block and copies it into the tile's
+    columns, so no second tile is ever held."""
 
     def __init__(self, cuts, probs, grad_bound: float, streams, f):
         self._cuts = np.asarray(cuts, dtype=float).tolist()
@@ -367,8 +372,9 @@ class TwoPointOracle:
         shaped like x."""
         if x.ndim == 1:
             return self._prob_list[bisect_right(self._cuts, x.item(0))]
-        seg = np.zeros(x.shape, dtype=np.intp)
-        for cut in self._cuts:  # floats compare faster than numpy scalars
+        cuts = self._cuts   # floats compare faster than numpy scalars
+        seg = (x >= cuts[0]).astype(np.intp) if cuts else np.zeros(x.shape, np.intp)
+        for cut in cuts[1:]:
             seg += x >= cut
         return self._probs.take(seg)
 
@@ -376,19 +382,33 @@ class TwoPointOracle:
         if self._col == TILE:  # the next TILE uniforms of every stream
             if self._streams is None:
                 self._streams = self._make_streams(self._seed)
-                self._rows = np.empty((len(self._streams), TILE))
-            for stream, row in zip(self._streams, self._rows):
-                stream.random(out=row)
-            self._tile = self._rows[0].tolist() if x.ndim == 1 else self._rows
+                n = len(self._streams)
+                self._scratch = np.empty((min(n, _FILL_STREAMS), TILE))
+                self._tile = None if x.ndim == 1 else np.empty((TILE, n))
+            if x.ndim == 1:
+                self._streams[0].random(out=self._scratch[0])
+                self._uniforms = self._scratch[0].tolist()
+            else:
+                self._refill()
             self._col = 0
         col = self._col
         self._col = col + 1
         if x.ndim == 1:
-            return self._up if self._tile[col] < self.plus_prob(x) else self._down
+            return self._up if self._uniforms[col] < self.plus_prob(x) else self._down
         # table lookups in place of a data-dependent select: u < p is random,
         # so branching on it mispredicts about half the time
-        up = self._tile[:, col] < self.plus_prob(x).reshape(-1)
-        return self._answers.take(up.view(np.int8)).reshape(x.shape)
+        up = self._tile[col] < self.plus_prob(x).reshape(-1)
+        return self._answers.take(up.astype(np.intp)).reshape(x.shape)
+
+    def _refill(self) -> None:
+        """The next TILE uniforms of every stream into the tile, a column each."""
+        streams = self._streams
+        for s in range(0, len(streams), _FILL_STREAMS):
+            group = streams[s:s + _FILL_STREAMS]
+            block = self._scratch[:len(group)]
+            for stream, row in zip(group, block):
+                stream.random(out=row)
+            self._tile[:, s:s + len(group)] = block.T
 
 
 class NearlyLinearOracle(TwoPointOracle):
@@ -404,8 +424,16 @@ class NearlyLinearOracle(TwoPointOracle):
 
 
 def _fixed_step(inst: NearlyLinearInstance, T: int) -> StepSchedule:
-    """The fixed step eta = 4D/(G sqrt(T)) of every path."""
-    eta = 4.0 * inst.diameter / (inst.grad_bound * math.sqrt(T))
+    """The fixed step eta = 4D/(G sqrt(T)) of every path; ValueError when
+    it is no finite positive float (it overflows or underflows)."""
+    try:
+        eta = 4.0 * inst.diameter / (inst.grad_bound * math.sqrt(T))
+    except OverflowError:   # sqrt(T) of an int beyond the floats
+        eta = 0.0
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"the fixed step 4D/(G sqrt(T)) is {eta!r}, not a finite positive "
+                         f"float, for diameter={inst.diameter!r}, "
+                         f"grad_bound={inst.grad_bound!r}, T={T}")
     return StepSchedule("constant", value=eta)
 
 

@@ -223,19 +223,27 @@ def test_mc_checks_kmax_before_simulating(kmax, monkeypatch, capsys):
     assert err[-1] == f"lastiter: error: kmax must be >= 2 for a tail fit, got {kmax}"
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    ("--diameter", "inf", "diameter and grad_bound must be finite and positive"),
-    ("--grad-bound", "inf", "diameter and grad_bound must be finite and positive"),
-    # finite, but the step 4D/(G sqrt(T)) overflows
-    ("--diameter", "1e308", "constant schedule needs a finite positive value"),
-], ids=["diameter-inf", "grad-bound-inf", "diameter-1e308"])
-def test_mc_rejects_non_finite_inputs(flag, value, message, capsys):
+_STEP = "the fixed step 4D/(G sqrt(T)) is {}, not a finite positive float, for {}"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--diameter", "inf"], "diameter and grad_bound must be finite and positive"),
+    (["--grad-bound", "inf"], "diameter and grad_bound must be finite and positive"),
+    # finite, but the step 4D/(G sqrt(T)) overflows, underflows, or sqrt(T) overflows
+    (["--diameter", "1e308"], _STEP.format("inf", "diameter=1e+308, grad_bound=1.0, T=100")),
+    (["--diameter", "1e-300", "--grad-bound", "1e300"],
+     _STEP.format("0.0", "diameter=1e-300, grad_bound=1e+300, T=100")),
+    (["--T", str(10 ** 400)], _STEP.format("0.0", f"diameter=1.0, grad_bound=1.0, T={10 ** 400}")),
+], ids=["diameter-inf", "grad-bound-inf", "diameter-1e308", "step-underflow", "T-beyond-floats"])
+def test_mc_rejects_non_finite_inputs(flags, message, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
         with pytest.raises(SystemExit) as exc:
-            run(["mc", "--T", "100", "--trials", "100", flag, value])
+            run(["mc", "--T", "100", "--trials", "100", *flags])
     assert exc.value.code == 2
-    errors = [l for l in capsys.readouterr().err.splitlines() if "error" in l]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [l for l in err.splitlines() if "error" in l]
     assert errors == [f"lastiter: error: {message}"]
 
 
@@ -303,6 +311,20 @@ def test_config_prefix_reads_the_file(tmp_path):
     first = outs["--config"].read_bytes()
     assert first.startswith(b"family,d,T,max_deviation,final_value,bound,pass\nlip-dec,2,8,")
     assert all(out.read_bytes() == first for out in outs.values())
+
+
+@pytest.mark.parametrize("key", ["config", "conf", "c"])
+def test_config_file_naming_a_config_file_is_a_usage_error(key, tmp_path, capsys):
+    # argparse would take the line as --config (or a prefix of it) and ignore it
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"family=sc\nd=2\nT=4\n{key}={tmp_path / 'other.cfg'}\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["lowerbound", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"lastiter: error: config file {cfg} names another config file "
+        f"({key}={tmp_path / 'other.cfg'}); config files do not nest")
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_jobs_default_from_environment(monkeypatch):

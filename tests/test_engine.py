@@ -344,13 +344,22 @@ def test_one_oracle_call_per_step_with_pass_through():
 # np.minimum(hi, y) return y on a tie, not the bound.
 
 class ShapedScript:
-    """Answers the t-th float of a script, shaped like the point asked."""
+    """Answers the t-th float of a script, shaped like the point asked, and
+    records the steps it was asked for."""
 
     def __init__(self, script):
         self.script = script
+        self.calls = []
+
+    def reset(self, seed):
+        self.calls = []
 
     def subgradient(self, x, t):
+        self.calls.append(t)
         return np.full(x.shape, self.script[t - 1])
+
+    def value(self, X):
+        return np.zeros(len(X))
 
 
 _ZERO_BOUNDS = [(-0.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (-1.0, -0.0)]
@@ -358,10 +367,15 @@ _ANSWERS = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 4.0, -4.0, 5e-324, -5e-3
 
 
 def _float_and_array_runs(oracle, interval, schedule, x1, T):
-    """Bytes of (g, x) at every step of a (1,) run and of a (1, 1) batch."""
-    return [[(None if g is None else g.tobytes(), x.tobytes())
+    """Bytes of (g, x) at every step of a (1,) run and of a (1, 1) batch of
+    sgd_steps, and of the rows run_sgd records from the (1,) run."""
+    runs = [[(None if g is None else g.tobytes(), x.tobytes())
              for _, g, x in eng.sgd_steps(oracle, interval, schedule, np.full(shape, x1), T)]
             for shape in ((1,), (1, 1))]
+    tr = eng.run_sgd(oracle, interval, schedule, np.full((1,), x1), T)
+    runs.append([(None, tr.iterates[0].tobytes())]
+                + [(g.tobytes(), x.tobytes()) for g, x in zip(tr.gradients, tr.iterates[1:])])
+    return runs
 
 
 @pytest.mark.parametrize("bounds", _ZERO_BOUNDS)
@@ -375,12 +389,14 @@ def test_float_form_matches_the_array_step_on_raw_bits(bounds):
             continue
         for sched in schedules:
             for answer in _ANSWERS:     # T = 1 from each start, bounds included
-                single, batch = _float_and_array_runs(ShapedScript([answer]), iv, sched, x1, 1)
-                assert single == batch, (x1, answer)
+                single, batch, recorded = _float_and_array_runs(ShapedScript([answer]), iv,
+                                                                sched, x1, 1)
+                assert single == batch == recorded, (x1, answer)
             for _ in range(20):
                 script = rng.choice(_ANSWERS, 30).tolist()
-                single, batch = _float_and_array_runs(ShapedScript(script), iv, sched, x1, 30)
-                assert single == batch, (x1, script)
+                single, batch, recorded = _float_and_array_runs(ShapedScript(script), iv,
+                                                                sched, x1, 30)
+                assert single == batch == recorded, (x1, script)
 
 
 def test_float_form_steps_from_x_as_the_oracle_left_it():
@@ -389,10 +405,24 @@ def test_float_form_steps_from_x_as_the_oracle_left_it():
             x[...] = 0.25 * t           # an oracle that writes into its query
             return super().subgradient(x, t)
 
-    single, batch = _float_and_array_runs(Nudging([0.5, -0.5, 1.0]), eng.Interval(-1.0, 1.0),
-                                          eng.StepSchedule("inv_t"), 0.0, 3)
-    assert single == batch
+    single, batch, recorded = _float_and_array_runs(
+        Nudging([0.5, -0.5, 1.0]), eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"), 0.0, 3)
+    assert single == batch == recorded
     assert single[1][1] == np.array([0.25 - 0.5]).tobytes()
+
+
+@pytest.mark.parametrize("answer", [lambda x: x, lambda x: x[...]], ids=["itself", "view"])
+def test_float_form_keeps_an_answer_that_is_the_query(answer):
+    # the float form queries one array that it overwrites after each step;
+    # an answer sharing that array must not change with it
+    class Echo(ShapedScript):
+        def subgradient(self, x, t):
+            return answer(x)
+
+    single, batch, recorded = _float_and_array_runs(
+        Echo([]), eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"), 0.75, 5)
+    assert single == batch == recorded
+    assert all(g == x for (_, x), (g, _) in zip(single, single[1:]))   # g_t = x_t
 
 
 def test_float_form_keeps_a_signed_zero_on_a_zero_bound():
@@ -426,6 +456,11 @@ def test_float_form_rejects_a_non_finite_answer_like_the_array_step(bad):
         with pytest.raises(ValueError, match="^oracle returned a non-finite subgradient "
                                              "at step 3$"):
             next(steps)
+    # run_sgd records the float form from the same steps and checks
+    oracle = ShapedScript([0.5, -0.5, bad, 0.0])
+    with pytest.raises(ValueError, match="^oracle returned a non-finite subgradient at step 3$"):
+        eng.run_sgd(oracle, eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"), np.zeros(1), T=4)
+    assert oracle.calls == [1, 2, 3]
 
 
 def test_float_form_rejects_a_wrong_shape_like_the_array_step():
@@ -438,6 +473,8 @@ def test_float_form_rejects_a_wrong_shape_like_the_array_step():
                 f"oracle returned shape (3,), expected {shape}")):
             list(eng.sgd_steps(Wide(), eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"),
                                np.zeros(shape), T=2))
+    with pytest.raises(ValueError, match=re.escape("oracle returned shape (3,), expected (1,)")):
+        eng.run_sgd(Wide(), eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"), np.zeros(1), T=2)
 
 
 def test_ball_project_returns_an_inside_point_itself():

@@ -212,25 +212,32 @@ def test_single_vectorized_path_equals_engine_path():
 
 
 def test_batched_paths_cross_tiles_like_engine_paths():
-    # a horizon spanning several tiles of uniforms, batches of 7 trials; each
-    # path answers step t with the t-th uniform of its own (seed, trial) stream,
-    # on one interior knot and on five
-    T = 2 * nl.TILE + 37
-    for inst in (abs_instance(), multi_knot_instance()):
-        G = inst.grad_bound
-        stats = nl.simulate_paths(inst, T, 20, 0.5, seed=5, chunk=7)
-        for trial in (0, 6, 7, 13, 19):
-            trace = nl.path_via_engine(inst, T, 0.5, seed=5, trial=trial)
-            xs = trace.iterates[:, 0]
-            u = nl.trial_stream(5, trial).random(T)
-            assert np.array_equal(trace.gradients[:, 0],
-                                  np.where(u < searchsorted_probs(inst, xs[:-1]), G, -G))
-            hits = np.flatnonzero(inst.f(xs) <= stats.threshold)
-            assert xs[-1] == stats.final_x[trial]
-            assert (hits[-1] if hits.size else -1) == stats.last_visit[trial]
-        # the last path alone visits every segment of the instance
-        segments = np.searchsorted(inst.knots[1:-1], xs, side="right")
-        assert set(segments.tolist()) == set(range(inst.slopes.size))
+    # horizons ending just before, at and just after a tile of uniforms, and
+    # one spanning several; 75 trials in chunks of 40 fill each tile in
+    # blocks of 32 streams and a partial one.  Each path answers step t with
+    # the t-th uniform of its own (seed, trial) stream, on one interior knot
+    # and on five, and the batch agrees with the f-membership loop
+    trials, chunk = 75, 40
+    assert trials % nl._FILL_STREAMS and trials % chunk and chunk % nl._FILL_STREAMS
+    for T in (nl.TILE - 1, nl.TILE, nl.TILE + 1, 2 * nl.TILE + 37):
+        for inst in (abs_instance(), multi_knot_instance()):
+            G = inst.grad_bound
+            stats = nl.simulate_paths(inst, T, trials, 0.5, seed=5, chunk=chunk)
+            final_x, last_visit = reference_paths(inst, T, trials, 0.5, seed=5, chunk=chunk)
+            assert np.array_equal(stats.final_x, final_x)
+            assert np.array_equal(stats.last_visit, last_visit)
+            for trial in (0, 31, 32, 39, 40, 71, 72, 74):
+                trace = nl.path_via_engine(inst, T, 0.5, seed=5, trial=trial)
+                xs = trace.iterates[:, 0]
+                u = nl.trial_stream(5, trial).random(T)
+                assert np.array_equal(trace.gradients[:, 0],
+                                      np.where(u < searchsorted_probs(inst, xs[:-1]), G, -G))
+                hits = np.flatnonzero(inst.f(xs) <= stats.threshold)
+                assert xs[-1] == stats.final_x[trial]
+                assert (hits[-1] if hits.size else -1) == stats.last_visit[trial]
+            # the last path alone visits every segment of the instance
+            segments = np.searchsorted(inst.knots[1:-1], xs, side="right")
+            assert set(segments.tolist()) == set(range(inst.slopes.size))
 
 
 def reference_paths(inst, T, trials, x0, seed, chunk):

@@ -209,7 +209,7 @@ def cmd_mc(args) -> int:
     mean, se = nl.expected_suboptimality(stats)
     try:
         tail = nl.tail_estimate(stats, k_max=args.kmax)
-        tail_rows, rate, tail_status = tail.to_rows(), tail.rate, None
+        tail_rows, rate, tail_status = tail.rows, tail.rate, None
     except ValueError as exc:
         tail_rows, rate, tail_status = [], None, str(exc)
         sys.stderr.write(f"tail fit unavailable: {exc}\n")
@@ -238,8 +238,8 @@ def cmd_sweep(args) -> int:
     if not jobs:
         raise ValueError("sweep grid is empty (no (d, T) pair with d <= T)")
     # usage errors surface here, before any job runs
-    if math.isnan(args.tol):
-        raise ValueError("tol must not be NaN")
+    if not math.isfinite(args.tol):
+        raise ValueError(f"tol must be finite, not NaN or infinite, got {args.tol}")
     for family, d, T, _ in jobs:
         cons.build_instance(family, d, T)
     if args.jobs > 1:

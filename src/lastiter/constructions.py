@@ -42,6 +42,7 @@ size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +131,9 @@ def build_instance(family: str, d: int, T: int) -> AdversarialInstance:
         raise ValueError("d must be >= 1")
     if d > T:
         raise ValueError(f"need d <= T, got d={d}, T={T}")
+    if T >= 2 ** 53:    # the step indices 1..T+1 must be exact floats
+        raise ValueError(f"need T <= 2**53 - 1, so that every step index is an exact "
+                         f"float, got T={T}")
 
     j = np.arange(1, d + 1, dtype=float)
     if family == STRONGLY_CONVEX:
@@ -353,15 +357,15 @@ class VerifyReport:
 def _compare(inst: AdversarialInstance, blocks, tol: float, oracle=None) -> VerifyReport:
     """Max-norm comparison of x_1..x_{T+1}, given as consecutive (k, d) row
     blocks, with the closed form block by block, keeping only the T+1 row
-    deviations and the oracle's divergences.  A NaN ``tol`` is rejected: no
-    deviation compares above it, so every run would pass.
+    deviations and the oracle's divergences.  A NaN or infinite ``tol`` is
+    rejected: no deviation compares above it, so every run would pass.
 
     In the quiet prefix (t <= T-d+1) z_t is +0.0, so a row's deviation is
     max|x_t| (x - (+0.0) is x, bit for bit), and no zero block is built; a
     quiet block that is the same object as the one before it repeats its
     deviations."""
-    if np.isnan(tol):
-        raise ValueError("tol must not be NaN")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, not NaN or infinite, got {tol}")
     dev = np.empty(inst.T + 1)
     prefix = _harmonic_prefix(inst)
     last_quiet = inst.quiet_steps + 1
@@ -463,6 +467,8 @@ class CertificateReport:
 
     def to_dict(self) -> dict:
         rec = {k: v for k, v in vars(self).items() if k not in ("passed", "witness")}
+        if math.isnan(self.worst_ratio):    # strict JSON has no NaN
+            rec["worst_ratio"] = None
         return {**rec, "pass": self.passed}
 
 

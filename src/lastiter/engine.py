@@ -3,16 +3,16 @@
 The engine is deliberately small: a feasible set with an exact projection,
 a step-size schedule evaluated once per run, and a first-order oracle
 queried exactly once per step with the current point (or batch of points)
-and the 1-based step index.  Everything downstream (worst-case
-constructions, grid random walks, Monte Carlo studies) runs through the one
-kernel :func:`sgd_steps`; only :func:`run_sgd` keeps a history.  A step
-whose answer is all +0.0 at a point the ball projection passed through
-does no arithmetic: the same array is yielded again (see :func:`sgd_steps`),
-so the long quiet prefix of a worst-case run costs one scan of each answer.
-One point of shape (1,) on an :class:`Interval` (a walk or a nearly linear
-path) steps in Python floats, bit for bit the array step, without the
-numpy call overhead of one-element arrays, and :func:`run_sgd` stores those
-floats straight into its history, with no (1,) array or row store per step.
+and the 1-based step index.  There are two step loops.  :func:`sgd_steps`
+is the array loop: it streams a point or a batch with no history, and
+:func:`run_sgd` records every other path from the same loop.  A step whose
+answer is all +0.0 at a point the ball projection passed through does no
+arithmetic: the same array is yielded again (see :func:`sgd_steps`), so the
+long quiet prefix of a worst-case run costs one scan of each answer.  The
+other loop is the float form of :func:`run_sgd`: one point of shape (1,)
+on an :class:`Interval` (a walk or a nearly linear path) steps in Python
+floats, bit for bit the array step, without the numpy call overhead of
+one-element arrays or a row store per step.
 
 An oracle is any object with
 
@@ -187,29 +187,11 @@ def sgd_steps(oracle, feasible, schedule: StepSchedule, x1, T: int,
     answer also rules out a non-finite one.  -0.0 entries do not qualify
     (x - eta*(-0.0) turns a -0.0 coordinate into +0.0), x_1 is always
     projected at step 1, and an :class:`Interval` projection never returns
-    its input, so an Interval batch never makes the test.
-
-    Float form: one point of shape (1,) on an :class:`Interval` (not a
-    subclass, whose projection may differ) steps in Python floats (see
-    :func:`_float_steps`), and each step yields the new point in a new
-    (1,) array.  The floats go through the same IEEE operations as the
-    array step, so the bits are the same.  The oracle is then queried with
-    one (1,) array of the kernel's, overwritten with the new point after
-    each step, so an oracle must not keep the array it is asked about; x
-    is read after the call, as the array step reads it, so an in-place
-    write to x reaches the step in both forms.  Batches and other feasible
-    sets take the array step; the checks on an answer and their errors are
-    the same in both forms.
+    its input, so an Interval path never makes the test.
     """
     x, etas = _start(oracle, feasible, schedule, x1, T, seed)
     yield 0, None, x
-    if _in_floats(x, feasible):
-        for t, g, y in _float_steps(oracle, feasible, etas, x):
-            x = np.empty(1)
-            x[0] = y
-            yield t, g, x
-    else:
-        yield from _array_steps(oracle, feasible, etas, x)
+    yield from _array_steps(oracle, feasible, etas, x)
 
 
 def _start(oracle, feasible, schedule: StepSchedule, x1, T: int, seed: int):
@@ -224,46 +206,6 @@ def _start(oracle, feasible, schedule: StepSchedule, x1, T: int, seed: int):
     if hasattr(oracle, "reset"):
         oracle.reset(seed)
     return x, etas
-
-
-def _in_floats(x: np.ndarray, feasible) -> bool:
-    """Whether a run from x takes the float form."""
-    return x.shape == (1,) and type(feasible) is Interval
-
-
-def _float_steps(oracle, feasible, etas, x1: np.ndarray):
-    """The float form: yield ``(t, g_t, x_{t+1})`` for t = 1..T with x_{t+1}
-    a Python float.
-
-    A step is the array step's two operations and clip on floats: the
-    answer's one float, a ``math.isfinite`` test, ``x - eta*g`` and the
-    clip.  The clip copies ``np.minimum(hi, np.maximum(lo, y))``, which
-    returns y, not the bound, on a tie: a -0.0 y on a bound of +0.0 stays
-    -0.0, and +0.0 on -0.0 stays +0.0.  The oracle is queried with one
-    (1,) array, a copy of ``x1``, that takes each new point; nothing
-    yielded is written to afterwards (an answer that is the query array
-    itself, or a view of it, is yielded as a copy).
-    """
-    lo, hi = float(feasible.lo), float(feasible.hi)
-    x = x1.copy()
-    for t, eta in enumerate(map(float, etas), start=1):
-        g = np.asarray(oracle.subgradient(x, t), dtype=float)
-        if g.ndim == 0:
-            g = g.reshape(1)
-        if g.shape != (1,):
-            raise ValueError(f"oracle returned shape {g.shape}, expected {x.shape}")
-        gv = g.item(0)
-        if not math.isfinite(gv):
-            raise ValueError(f"oracle returned a non-finite subgradient at step {t}")
-        y = x.item(0) - eta * gv
-        if y < lo:      # np.maximum(lo, y) and np.minimum(hi, .) keep y
-            y = lo      # on a tie, so a signed zero y survives a zero bound
-        elif y > hi:
-            y = hi
-        if g is x or g.base is x:   # an answer that x[0] = y would change
-            g = g.copy()
-        x[0] = y
-        yield t, g, y
 
 
 def _array_steps(oracle, feasible, etas, x: np.ndarray):
@@ -288,15 +230,28 @@ def _array_steps(oracle, feasible, etas, x: np.ndarray):
 
 def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
             seed: int = 0) -> SgdTrace:
-    """Run one path of :func:`sgd_steps` and record everything.
+    """Run one path, stepped as :func:`sgd_steps` steps it, and record everything.
 
     ``x1`` must be a single point; ``seed`` is forwarded to ``oracle.reset``
-    when the oracle has one, and deterministic oracles ignore it.  A path
-    in the float form is recorded from :func:`_float_steps` as floats, with
-    no (1,) array per step.  The values f(x_1)..f(x_{T+1}) are computed
-    after the run, by one ``oracle.value`` call per block of at most
-    ``VALUE_BLOCK`` floats of iterates (k rows of d); each call must return
-    shape (k,), else ValueError.
+    when the oracle has one, and deterministic oracles ignore it.  The
+    values f(x_1)..f(x_{T+1}) are computed after the run, by one
+    ``oracle.value`` call per block of at most ``VALUE_BLOCK`` floats of
+    iterates (k rows of d); each call must return shape (k,), else
+    ValueError.
+
+    Float form: one point of shape (1,) on an :class:`Interval` (not a
+    subclass, whose projection may differ) steps in Python floats, stored
+    straight into the history.  A step is the array step's operations on
+    floats, with the same checks and errors: the answer's one float, a
+    ``math.isfinite`` test, ``x - eta*g`` and the clip.  The clip copies
+    ``np.minimum(hi, np.maximum(lo, y))``, which returns y, not the bound,
+    on a tie: a -0.0 y on a bound of +0.0 stays -0.0, and +0.0 on -0.0
+    stays +0.0.  So the bits are those of the array step.  The oracle is
+    queried with one (1,) array, overwritten with the new point after each
+    step, so an oracle must not keep the array it is asked about.  x is
+    read after the call, as the array step reads it, so an in-place write
+    to x reaches the step in both forms.  Other points and feasible sets
+    take the array step of :func:`sgd_steps`.
     """
     if np.ndim(x1) > 1:
         raise ValueError(f"run_sgd records a single path; x1 has shape {np.shape(x1)}")
@@ -305,11 +260,22 @@ def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
     gradients = np.empty((T, x.shape[0]))
     values = np.empty(T + 1)
     iterates[0] = x
-    if _in_floats(x, feasible):
+    if x.shape == (1,) and type(feasible) is Interval:
+        lo, hi = float(feasible.lo), float(feasible.hi)
         xs, gs = iterates.reshape(-1), gradients.reshape(-1)    # views, one float a row
-        for t, g, y in _float_steps(oracle, feasible, etas, x):
-            gs[t - 1] = g.item(0)
-            xs[t] = y
+        for t, eta in enumerate(map(float, etas), start=1):
+            g = np.asarray(oracle.subgradient(x, t), dtype=float)
+            if g.shape not in ((1,), ()):       # a 0-d answer counts as (1,)
+                raise ValueError(f"oracle returned shape {g.shape}, expected {x.shape}")
+            gv = gs[t - 1] = g.item(0)      # read before x, which g may share, moves
+            if not math.isfinite(gv):
+                raise ValueError(f"oracle returned a non-finite subgradient at step {t}")
+            y = x.item(0) - eta * gv
+            if y < lo:      # np.maximum(lo, y) and np.minimum(hi, .) keep y
+                y = lo      # on a tie, so a signed zero y survives a zero bound
+            elif y > hi:
+                y = hi
+            xs[t] = x[0] = y
     else:
         for t, g, x in _array_steps(oracle, feasible, etas, x):
             gradients[t - 1] = g

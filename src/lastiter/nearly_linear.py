@@ -453,9 +453,6 @@ class TailEstimate:
     counts: np.ndarray      # raw counts per k
     rate: float             # least-squares slope of log(count) against k
 
-    def to_rows(self):
-        return [(int(k), float(p)) for k, p in self.rows]
-
 
 def tail_estimate(stats: PathStats, k_max: int = 20) -> TailEstimate:
     """Tail probabilities at multiples of the good-set threshold, plus the

@@ -131,6 +131,34 @@ def test_certify_exits_clean(tmp_path):
     kinds = {c["kind"] for c in rep["checks"]}
     assert kinds == {"lipschitz", "strong_convexity"}
     assert rep["pass"] is True
+    # the strong-convexity check has no ratio: null, not NaN, in the JSON
+    assert [c["worst_ratio"] for c in rep["checks"] if c["kind"] == "strong_convexity"] == [None]
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["lowerbound", "--family", "lip-dec", "--d", "4", "--T", "64"], 0),
+    (["verify", "--family", "sc", "--d", "4", "--T", "64"], 0),
+    (["verify", "--family", "sc", "--d", "4", "--T", "64", "--tol", "-1"], 1),
+    (["certify", "--family", "sc", "--d", "4", "--T", "16", "--samples", "200"], 0),
+    (["certify", "--family", "lip-fixed", "--d", "4", "--T", "16", "--samples", "200"], 0),
+    (["walk", "--n", "50"], 0),
+    (["mc", "--T", "100", "--trials", "200"], 0),
+    (["mc", "--T", "100", "--trials", "200", "--kmax", "2", "--epsilon", "1"], 0),
+], ids=["lowerbound", "verify", "verify-failing", "certify-sc", "certify-lip-fixed",
+        "walk", "mc", "mc-degenerate"])
+def test_json_outputs_are_strict_json(argv, code, tmp_path, capsys):
+    # no NaN or Infinity, which strict parsers (jq, JSON.parse) reject
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == code
+    assert isinstance(_strict_json(out.read_text()), dict)
+    if code:
+        assert isinstance(_strict_json(capsys.readouterr().err), dict)
 
 
 def test_walk_json_and_csv(tmp_path):
@@ -245,6 +273,30 @@ def test_mc_rejects_non_finite_inputs(flags, message, capsys):
     assert "Traceback" not in err
     errors = [l for l in err.splitlines() if "error" in l]
     assert errors == [f"lastiter: error: {message}"]
+
+
+@pytest.mark.parametrize("family, T", [
+    ("sc", 2 ** 60),            # t - q rounded away in the closed form: a false failure
+    ("lip-fixed", 10 ** 19),    # a TypeError traceback
+    ("lip-fixed", 10 ** 22),    # an OverflowError traceback
+], ids=["sc-2^60", "lip-fixed-1e19", "lip-fixed-1e22"])
+def test_T_beyond_exact_float_step_indices_is_a_usage_error(family, T, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["lowerbound", "--family", family, "--d", "2", "--T", str(T)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [l for l in err.splitlines() if "error" in l]
+    assert errors == [f"lastiter: error: need T <= 2**53 - 1, so that every step index "
+                      f"is an exact float, got T={T}"]
+
+
+@pytest.mark.parametrize("family", ["sc", "lip-fixed"])
+def test_largest_T_with_exact_step_indices_passes(family, tmp_path):
+    out = tmp_path / "lb.json"
+    assert run(["lowerbound", "--family", family, "--d", "1000", "--T", str(2 ** 53 - 1),
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"] is True
 
 
 def test_sweep_csv_curve_and_idempotence(tmp_path):
@@ -441,13 +493,16 @@ def test_emit_curve_contract():
     ["lowerbound", "--family", "sc", "--d", "2", "--T", "4", "--config"],
     ["verify", "--family", "sc", "--d", "2", "--T", "4", "--tol", "nan"],
     ["sweep", "--family", "sc", "--d", "2", "--T", "4", "--tol", "nan"],
+    ["verify", "--family", "sc", "--d", "2", "--T", "4", "--tol", "inf"],
+    ["sweep", "--family", "sc", "--d", "2", "--T", "4", "--tol=-inf"],
     ["sweep", "--family", "sc", "--d", "0,2", "--T", "4", "--jobs", "2"],
     ["certify", "--family", "sc", "--d", "2", "--T", "4", "--format", "csv"],
     ["lowerbound", "--family", "sc", "--d", "2", "--T", "4", "--seed", "1"],
 ], ids=["walk-n0", "certify-samples0", "mc-T0", "mc-trials50", "mc-x0-outside",
         "lowerbound-d-above-T", "out-missing-dir", "sweep-empty-grid",
         "config-missing", "config-line-without-equals", "config-without-path",
-        "verify-tol-nan", "sweep-tol-nan", "sweep-d0-jobs2", "certify-format",
+        "verify-tol-nan", "sweep-tol-nan", "verify-tol-inf", "sweep-tol-minus-inf",
+        "sweep-d0-jobs2", "certify-format",
         "lowerbound-seed"])
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     badcfg = tmp_path / "bad.cfg"

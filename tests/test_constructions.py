@@ -66,6 +66,10 @@ def test_build_validation():
         cons.build_instance("sc", 5, 4)
     with pytest.raises(ValueError):
         cons.build_instance("nope", 2, 4)
+    # past 2**53 the step indices are no longer exact floats
+    with pytest.raises(ValueError, match=f"T={2 ** 53}$"):
+        cons.build_instance("lip-dec", 2, 2 ** 53)
+    assert cons.build_instance("lip-dec", 2, 2 ** 53 - 1).T == 2 ** 53 - 1
 
 
 def test_piece_grads_are_locked():
@@ -388,14 +392,16 @@ def test_verify_trajectory_length_mismatch():
 
 
 def test_verify_rejects_nan_tolerance():
-    # no deviation compares above NaN, so a NaN tolerance would pass any run;
-    # a negative one still fails at the first iterate
+    # no deviation compares above NaN or +inf, so such a tolerance would pass
+    # any run, and -inf is no tolerance either; a negative finite one still
+    # fails at the first iterate
     inst = cons.build_instance("sc", 2, 4)
     trace = cons.run_on_instance(inst)
-    with pytest.raises(ValueError, match="NaN"):
-        cons.verify_trajectory(inst, trace, tol=math.nan)
-    with pytest.raises(ValueError, match="NaN"):
-        cons.verify_instance(inst, tol=math.nan)
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="NaN"):
+            cons.verify_trajectory(inst, trace, tol=tol)
+        with pytest.raises(ValueError, match="NaN"):
+            cons.verify_instance(inst, tol=tol)
     for rep in (cons.verify_trajectory(inst, trace, tol=-1.0),
                 cons.verify_instance(inst, tol=-1.0)):
         assert not rep.passed and rep.first_mismatch == 1

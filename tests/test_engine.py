@@ -338,10 +338,11 @@ def test_one_oracle_call_per_step_with_pass_through():
 
 
 # ------------------------------------------------------------ float form
-# One point of shape (1,) on an Interval steps in Python floats; a (1, 1)
-# batch takes the array step.  Both must give the same bits, above all where
-# x - eta*g lands on a signed zero at a zero bound: np.maximum(lo, y) and
-# np.minimum(hi, y) return y on a tie, not the bound.
+# run_sgd records one point of shape (1,) on an Interval in Python floats;
+# sgd_steps takes the array step for it and for a (1, 1) batch.  All must
+# give the same bits, above all where x - eta*g lands on a signed zero at a
+# zero bound: np.maximum(lo, y) and np.minimum(hi, y) return y on a tie, not
+# the bound.
 
 class ShapedScript:
     """Answers the t-th float of a script, shaped like the point asked, and
@@ -367,8 +368,9 @@ _ANSWERS = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 4.0, -4.0, 5e-324, -5e-3
 
 
 def _float_and_array_runs(oracle, interval, schedule, x1, T):
-    """Bytes of (g, x) at every step of a (1,) run and of a (1, 1) batch of
-    sgd_steps, and of the rows run_sgd records from the (1,) run."""
+    """Bytes of (g, x) at every step of three runs: the array step of
+    sgd_steps from a (1,) point and from a (1, 1) batch, and the float form,
+    the rows run_sgd records from the (1,) point."""
     runs = [[(None if g is None else g.tobytes(), x.tobytes())
              for _, g, x in eng.sgd_steps(oracle, interval, schedule, np.full(shape, x1), T)]
             for shape in ((1,), (1, 1))]
@@ -429,8 +431,11 @@ def test_float_form_keeps_a_signed_zero_on_a_zero_bound():
     half = eng.StepSchedule("constant", value=0.5)
 
     def last(lo, hi, x1, script):
-        *_, (_, _, x) = eng.sgd_steps(ShapedScript(script), eng.Interval(lo, hi), half,
-                                      np.array([x1]), len(script))
+        # the array step of sgd_steps and the float form of run_sgd agree
+        iv, x1 = eng.Interval(lo, hi), np.array([x1])
+        *_, (_, _, x) = eng.sgd_steps(ShapedScript(script), iv, half, x1, len(script))
+        recorded = eng.run_sgd(ShapedScript(script), iv, half, x1, len(script)).iterates[-1]
+        assert np.array_equal(_bits(recorded), _bits(x))
         return x
 
     # 0.5 - 0.5*1 is +0.0, which ties lo = -0.0: +0.0 stays
@@ -475,6 +480,19 @@ def test_float_form_rejects_a_wrong_shape_like_the_array_step():
                                np.zeros(shape), T=2))
     with pytest.raises(ValueError, match=re.escape("oracle returned shape (3,), expected (1,)")):
         eng.run_sgd(Wide(), eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"), np.zeros(1), T=2)
+
+
+def test_float_form_takes_a_0d_answer_like_the_array_step():
+    class Scalar(ShapedScript):
+        def subgradient(self, x, t):
+            return np.float64(super().subgradient(x, t)[0])
+
+    iv, sched, script = eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"), [0.5, -2.0, 0.25]
+    tr = eng.run_sgd(Scalar(script), iv, sched, np.zeros(1), T=3)
+    streamed = [x.tobytes() for _, _, x in eng.sgd_steps(Scalar(script), iv, sched,
+                                                          np.zeros(1), T=3)]
+    assert [x.tobytes() for x in tr.iterates] == streamed
+    assert tr.gradients.ravel().tolist() == script
 
 
 def test_ball_project_returns_an_inside_point_itself():

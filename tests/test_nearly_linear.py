@@ -308,7 +308,7 @@ def test_expected_suboptimality_needs_trials():
 def test_tail_estimate_rows_and_rate():
     stats = nl.simulate_paths(abs_instance(), 400, 20_000, 0.5, seed=0)
     tail = nl.tail_estimate(stats)
-    rows = tail.to_rows()
+    rows = tail.rows
     assert rows[0][0] == 0 and rows[0][1] <= 1.0
     probs = [p for _, p in rows]
     assert all(p1 >= p2 for p1, p2 in zip(probs, probs[1:]))  # tail is monotone

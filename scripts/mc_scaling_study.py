@@ -24,6 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lastiter import nearly_linear as nl  # noqa: E402
+from lastiter.cli import attach_negative_numbers  # noqa: E402
 
 
 def horizon_list(text: str) -> list[int]:
@@ -44,7 +45,7 @@ def main() -> int:
     ap.add_argument("--x0", type=float, default=None)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="optional JSON output path")
-    args = ap.parse_args()
+    args = ap.parse_args(attach_negative_numbers(sys.argv[1:]))
     try:
         return study(args)
     except (ValueError, OSError) as exc:

@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -358,6 +359,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def attach_negative_numbers(argv: list[str]) -> list[str]:
+    """argv with each token that starts like a negative number (``-1e-3``,
+    ``-.5``, ``-inf``, ``-nan``) and follows a ``--flag`` with no value
+    attached joined to it as ``--flag=value``: after a space argparse takes
+    only the ``-12`` and ``-1.5`` forms as a flag's value."""
+    out: list[str] = []
+    for tok in argv:
+        if (out and re.fullmatch(r"--[^=]+", out[-1])
+                and re.match(r"-(\d|\.\d|inf|nan)", tok, re.I)):
+            tok = out.pop() + "=" + tok
+        out.append(tok)
+    return out
+
+
 def _load_config(path: str) -> list[str]:
     flags = []
     with open(path) as fh:
@@ -391,7 +406,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(_inject_config(argv))
+        args = parser.parse_args(_inject_config(attach_negative_numbers(argv)))
         return args.func(args)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))

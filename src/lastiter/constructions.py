@@ -16,7 +16,12 @@ whole trajectory from x_1 = 0 has a closed form: the iterate sleeps at the
 origin, then coordinate k is "kicked" up at step T-d+k and decays under the
 shared slopes afterwards.  The final iterate therefore ends up with all d
 coordinates positive and a function value with a harmonic-sum (~ log d)
-lower bound, while the true minimum stays 0 at the origin.
+lower bound, while the true minimum stays 0 at the origin.  Both Lipschitz
+families share one closed form, for any step sizes that keep the oracle on
+its intended pieces, that reads only the d step sizes of the kicked window
+(``_closed_form_block``), so a row of it costs O(d) memory whatever T is;
+the strongly convex family keeps its own, since the quadratic term changes
+the recursion.
 
 Three families are provided, differing in slope scale, kick depth and step
 schedule:
@@ -257,28 +262,29 @@ class AdversarialOracle:
         return _piece_grad(inst, i, x)
 
 
-def _harmonic_prefix(inst: AdversarialInstance) -> np.ndarray | None:
-    """prefix[m] = sum_{k=1}^m 1/sqrt(k), prefix[0] = 0, for the lip-dec
-    closed form; None for the other families, which do not use it."""
-    if inst.family != LIPSCHITZ_DECREASING:
-        return None
-    return np.concatenate(([0.0], np.cumsum(1.0 / np.sqrt(np.arange(1, inst.T + 1)))))
+def _kicked_window(inst: AdversarialInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The schedule's step sizes eta_{q+1}..eta_T over the kicked window,
+    q = T-d, and their prefix sums W: the 2d+1 floats the closed form reads."""
+    eta = inst.schedule().sizes(inst.T, first=inst.quiet_steps + 1)
+    return eta, np.concatenate(([0.0], np.cumsum(eta)))
 
 
 def _closed_form_block(inst: AdversarialInstance, t0: int, t1: int,
-                       prefix: np.ndarray | None) -> np.ndarray:
+                       window: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Predicted iterates z_t for t in [t0, t1), 1 <= t0 < t1 <= T+2, as a
-    (t1-t0, d) array; ``prefix`` is ``_harmonic_prefix(inst)``.
+    (t1-t0, d) array; ``window`` is ``_kicked_window(inst)``, (eta, W).
 
     z_t = 0 for t <= T-d+1.  For later t, with q = T-d, coordinate j is
     nonzero exactly when j < t-q:
 
-      sc:        z_{t,j} = (1 - (t-q-j-1) a_j) / (t-1)
-      lip-dec:   z_{t,j} = b_j/sqrt(j+q) - a_j * sum_{k=j+q+1}^{t-1} 1/sqrt(k)
-      lip-fixed: z_{t,j} = (b_j - a_j (t-j-q-1)) / sqrt(T)
+      sc:          z_{t,j} = (1 - (t-q-j-1) a_j) / (t-1)
+      Lipschitz:   z_{t,j} = b_j eta_{j+q} - a_j (W_{t-1-q} - W_j)
 
-    The formula runs on the kicked rows and the columns j < t1-q-1 only, and
-    is written under the triangular mask j < t-q; every other entry is +0.0.
+    with W_m = eta_{q+1} + ... + eta_{q+m}: it holds for any step sizes that
+    keep the oracle on its intended pieces inside the ball, and needs O(d)
+    memory beside the block.  The formula runs on the kicked rows and the
+    columns j < t1-q-1 only, and is written under the triangular mask
+    j < t-q; every other entry is +0.0.
     """
     q = inst.quiet_steps
     z = np.zeros((t1 - t0, inst.d))
@@ -288,19 +294,18 @@ def _closed_form_block(inst: AdversarialInstance, t0: int, t1: int,
         j, a, b = np.arange(1.0, w + 1), inst.shared_slopes[:w], inst.depths[:w]
         if inst.family == STRONGLY_CONVEX:
             v = (1.0 - (t - q - j - 1.0) * a) / (t - 1.0)
-        elif inst.family == LIPSCHITZ_FIXED:
-            v = (b - a * (t - j - q - 1.0)) / np.sqrt(inst.T)
         else:
-            v = b / np.sqrt(j + q) - a * (prefix[lo - 1:t1 - 1, None] - prefix[q + 1:q + w + 1])
+            eta, W = window
+            v = b * eta[:w] - a * (W[lo - 1 - q:t1 - 1 - q, None] - W[1:w + 1])
         np.copyto(z[lo - t0:, :w], v, where=j < t - q)
     return z
 
 
 def closed_form_iterate(inst: AdversarialInstance, t: int) -> np.ndarray:
-    """Predicted iterate z_t for one step t in 1..T+1."""
+    """Predicted iterate z_t for one step t in 1..T+1, in O(d) memory."""
     if not 1 <= t <= inst.T + 1:
         raise ValueError(f"t={t} out of range 1..{inst.T + 1}")
-    return _closed_form_block(inst, t, t + 1, _harmonic_prefix(inst))[0]
+    return _closed_form_block(inst, t, t + 1, _kicked_window(inst))[0]
 
 
 def lower_bound_value(family: str, d: int, T: int) -> float:
@@ -367,7 +372,7 @@ def _compare(inst: AdversarialInstance, blocks, tol: float, oracle=None) -> Veri
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, not NaN or infinite, got {tol}")
     dev = np.empty(inst.T + 1)
-    prefix = _harmonic_prefix(inst)
+    window = _kicked_window(inst)
     last_quiet = inst.quiet_steps + 1
     t, prev = 1, None
     for x in blocks:
@@ -375,7 +380,7 @@ def _compare(inst: AdversarialInstance, blocks, tol: float, oracle=None) -> Veri
         t1 = t + k
         out = dev[t - 1:t1 - 1]
         if t1 - 1 > last_quiet:
-            z = _closed_form_block(inst, t, t1, prefix)
+            z = _closed_form_block(inst, t, t1, window)
             np.subtract(x, z, out=z)
             np.maximum.reduce(np.abs(z, out=z), axis=1, out=out)
         elif x is prev:

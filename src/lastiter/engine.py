@@ -69,16 +69,15 @@ class StepSchedule:
             if self.value is None or not 0 < self.value < math.inf:
                 raise ValueError("constant schedule needs a finite positive value")
 
-    def sizes(self, T: int) -> np.ndarray:
-        """Step sizes eta_1..eta_T of a run of T steps, computed exactly."""
-        if T < 1:
-            raise ValueError("T must be >= 1")
-        t = np.arange(1, T + 1)
-        if self.kind == "inv_t":
-            return 1.0 / t
-        if self.kind == "inv_sqrt_t":
-            return 1.0 / np.sqrt(t)
-        return np.full(T, float(self.value))
+    def sizes(self, T: int, first: int = 1) -> np.ndarray:
+        """Step sizes eta_first..eta_T of a run of T steps, computed exactly;
+        a later ``first`` builds only that tail, ``sizes(T)[first - 1:]``."""
+        if not 1 <= first <= T:
+            raise ValueError(f"need 1 <= first <= T, got first={first}, T={T}")
+        if self.kind == "constant":
+            return np.full(T - first + 1, float(self.value))
+        t = np.arange(first, T + 1)
+        return 1.0 / t if self.kind == "inv_t" else 1.0 / np.sqrt(t)
 
 
 def block_rows(d: int) -> int:

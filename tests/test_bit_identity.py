@@ -313,7 +313,26 @@ def test_walk_calls_f_once_per_grid_and_value_block(monkeypatch):
 # engine.VALUE_BLOCK floats, which block_rows shrinks to 7 rows.
 
 def ref_closed_form_rows(inst, ts):
-    """The per-row closed form z_t for each t in ts."""
+    """The per-row closed form z_t for each t in ts: the Lipschitz families
+    sum the schedule's step sizes over the kicked window k = q+1..T."""
+    q = inst.quiet_steps
+    eta = inst.schedule().sizes(inst.T)[q:]
+    W = np.concatenate(([0.0], np.cumsum(eta)))
+    for t in ts:
+        z = np.zeros(inst.d)
+        m = t - q - 1
+        if m > 0:
+            j, a, b = np.arange(1.0, m + 1), inst.shared_slopes[:m], inst.depths[:m]
+            if inst.family == cons.STRONGLY_CONVEX:
+                z[:m] = (1.0 - (t - q - j - 1.0) * a) / (t - 1.0)
+            else:
+                z[:m] = b * eta[:m] - a * (W[t - 1 - q] - W[1:m + 1])
+        yield z
+
+
+def ref_per_family_rows(inst, ts):
+    """The per-row closed form z_t with one formula per family, each written
+    for its own schedule: an independent reference for the window form."""
     q = inst.quiet_steps
     if inst.family == cons.LIPSCHITZ_DECREASING:
         prefix = np.concatenate(([0.0], np.cumsum(1.0 / np.sqrt(np.arange(1, inst.T + 1)))))
@@ -339,13 +358,28 @@ def test_closed_form_blocks_match_per_row_reference(family, d, block_rows):
     inst = cons.build_instance(family, d, T)
     want = np.array(list(ref_closed_form_rows(inst, range(1, T + 2))))
     rows = max(1, engine.VALUE_BLOCK // d)
-    prefix = cons._harmonic_prefix(inst)
-    got = [cons._closed_form_block(inst, s, min(s + rows, T + 2), prefix)
+    window = cons._kicked_window(inst)
+    got = [cons._closed_form_block(inst, s, min(s + rows, T + 2), window)
            for s in range(1, T + 2, rows)]
     assert_bits(np.vstack(got), want)
-    assert_bits(cons._closed_form_block(inst, 1, T + 2, prefix), want)
+    assert_bits(cons._closed_form_block(inst, 1, T + 2, window), want)
     for t in (1, inst.quiet_steps + 1, inst.quiet_steps + 2, T + 1):
         assert_bits(cons.closed_form_iterate(inst, t), want[t - 1])
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+@pytest.mark.parametrize("d, T", [(d, 2 * d + 3) for d in (1, 2, 8, 257, 1024)]
+                         + [(d, 2 * d + 40) for d in (1, 8, 257)])
+def test_window_rows_match_the_per_family_formulas(family, d, T):
+    # the grids of the block test above and of the deviation test below;
+    # sc has one formula in both, the Lipschitz rows differ by rounding
+    inst = cons.build_instance(family, d, T)
+    got = np.array(list(ref_closed_form_rows(inst, range(1, T + 2))))
+    want = np.array(list(ref_per_family_rows(inst, range(1, T + 2))))
+    if inst.quadratic:
+        assert_bits(got, want)
+    assert np.array_equal(got != 0, want != 0)
+    assert np.abs(got - want).max() <= 1e-15
 
 
 @pytest.mark.parametrize("family", cons.FAMILIES)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -291,12 +292,25 @@ def test_T_beyond_exact_float_step_indices_is_a_usage_error(family, T, capsys):
                       f"is an exact float, got T={T}"]
 
 
-@pytest.mark.parametrize("family", ["sc", "lip-fixed"])
+@pytest.mark.parametrize("family", ["sc", "lip-dec", "lip-fixed"])
 def test_largest_T_with_exact_step_indices_passes(family, tmp_path):
     out = tmp_path / "lb.json"
     assert run(["lowerbound", "--family", family, "--d", "1000", "--T", str(2 ** 53 - 1),
                 "--out", str(out)]) == 0
     assert json.loads(out.read_text())["pass"] is True
+
+
+def test_lowerbound_memory_does_not_grow_with_T():
+    # the closed form reads the d step sizes of the kicked window; a prefix
+    # over all T steps would take 80 MB here
+    tracemalloc.start()
+    try:
+        rec = cli._closed_form_record("lip-dec", 2, 10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec["pass"] is True
+    assert peak < 1 << 20, peak
 
 
 def test_sweep_csv_curve_and_idempotence(tmp_path):
@@ -440,6 +454,37 @@ def test_out_of_memory_under_jobs_cancels_the_queued_jobs(tmp_path, monkeypatch,
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == "lastiter: error: out of memory"
     assert len(ran.read_text().split()) < len(T) // 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["mc", "--T", "100", "--trials", "100", "--x0", "-1e-3"], 0),
+    (["mc", "--T", "100", "--trials", "100", "--x0=-1e-3"], 0),
+    # a negative tolerance fails every row at its first iterate
+    (["verify", "--family", "sc", "--d", "2", "--T", "4", "--tol", "-1e-3"], 1),
+], ids=["mc-x0", "mc-x0-joined", "verify-tol"])
+def test_negative_float_after_a_space_is_a_value(argv, code, tmp_path):
+    out = tmp_path / "out.json"
+    assert run([*argv, "--out", str(out)]) == code
+    rep = json.loads(out.read_text())
+    assert rep.get("x0", rep.get("tol")) == -1e-3
+
+
+def test_only_a_negative_number_after_a_bare_flag_is_attached():
+    argv = ["mc", "--x0", "-.5", "--tol=-1", "-2", "--out", "-", "--a", "-x",
+            "--", "-inf", "--kmax", "-3"]
+    assert cli.attach_negative_numbers(argv) == [
+        "mc", "--x0=-.5", "--tol=-1", "-2", "--out", "-", "--a", "-x",
+        "--", "-inf", "--kmax=-3"]
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("tol", ["-inf", "-nan"])
+def test_negative_non_finite_tol_is_the_finite_tol_error(command, tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--family", "sc", "--d", "2", "--T", "4", "--tol", tol])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "lastiter: error: tol must be finite, not NaN or infinite")
 
 
 def test_usage_error_exit_code():

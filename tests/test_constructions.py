@@ -317,11 +317,11 @@ def test_closed_form_hand_values():
 
 @pytest.mark.parametrize("family", cons.FAMILIES)
 def test_closed_form_iterate_is_trajectory_row(family):
-    # one block over all T+1 steps (lip-dec prefix sum passed in) equals
-    # per-t calls
+    # one block over all T+1 steps (the kicked window's step sizes and
+    # their prefix sums passed in) equals per-t calls
     for d, T in GRID:
         inst = cons.build_instance(family, d, T)
-        block = cons._closed_form_block(inst, 1, T + 2, cons._harmonic_prefix(inst))
+        block = cons._closed_form_block(inst, 1, T + 2, cons._kicked_window(inst))
         assert block.shape == (T + 1, d)
         for t, row in enumerate(block, start=1):
             assert np.array_equal(cons.closed_form_iterate(inst, t), row)

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,20 @@ def test_schedule_exact_values():
                    (eng.StepSchedule("inv_sqrt_t"), lambda t: 1.0 / math.sqrt(t)),
                    (eng.StepSchedule("constant", value=0.3), lambda t: 0.3)):
         assert s.sizes(T).tolist() == [eta(t) for t in range(1, T + 1)], s.kind
+        # a window eta_first..eta_T is the tail of the full array, bit for bit
+        for first in (1, 2, T):
+            got, want = s.sizes(T, first), s.sizes(T)[first - 1:]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (s.kind, first)
+        # at the largest T with exact step indices a few sizes need no T floats
+        big = 2 ** 53 - 1
+        tracemalloc.start()
+        try:
+            tail = s.sizes(big, big - 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tail.tolist() == [eta(t) for t in range(big - 2, big + 1)], s.kind
+        assert peak < 1 << 16, (s.kind, peak)
 
 
 def test_schedule_range_and_validation():
@@ -65,6 +80,9 @@ def test_schedule_range_and_validation():
     assert s.sizes(10).shape == (10,)
     with pytest.raises(ValueError):
         s.sizes(0)
+    for first in (0, 11):
+        with pytest.raises(ValueError, match="need 1 <= first <= T"):
+            s.sizes(10, first)
     for value in (None, 0.0, -0.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite positive value"):
             eng.StepSchedule("constant", value=value)

@@ -29,6 +29,14 @@ def test_mc_scaling_study_writes_rows(tmp_path):
     assert all(row["mean"] > 0 and row["never_hit"] >= 0 for row in rep["rows"])
 
 
+def test_mc_scaling_study_reads_a_negative_x0_after_a_space(tmp_path):
+    out = tmp_path / "mc.json"
+    proc = run_script("mc_scaling_study.py", "--trials", "100", "--horizons", "100",
+                      "--x0", "-1e-3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["x0"] == -1e-3
+
+
 def test_mc_scaling_study_rejects_shapes_that_need_knots():
     # "piecewise" needs knots and slopes, which no option passes
     proc = run_script("mc_scaling_study.py", "--shape", "piecewise", "--trials", "200",
@@ -41,7 +49,8 @@ def test_mc_scaling_study_rejects_shapes_that_need_knots():
     (("--trials", "50", "--horizons", "100"), "need at least 100 trials"),
     (("--horizons", "100,x"), "not a comma-separated list of integers: '100,x'"),
     (("--epsilon", "2"), "epsilon must lie in (0, 1]"),
-], ids=["trials", "horizons", "epsilon"])
+    (("--epsilon", "-1e-3"), "epsilon must lie in (0, 1]"),
+], ids=["trials", "horizons", "epsilon", "epsilon-negative-exponent"])
 def test_mc_scaling_study_exits_2_on_inputs_it_cannot_serve(args, message):
     proc = run_script("mc_scaling_study.py", *args)
     assert proc.returncode == 2 and proc.stdout == ""

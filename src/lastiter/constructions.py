@@ -35,14 +35,15 @@ and 1/(32 sqrt(T)) respectively.
 
 Verification compares the engine's iterates with closed-form row blocks:
 each streamed iterate as a one-row block (``verify_instance``, memory
-O(T + d)), or a recorded trace in blocks of ``engine.VALUE_BLOCK`` floats
-(``verify_trajectory``).  A quiet row's deviation is max|x_t|, and a
-streamed iterate the engine yields again reuses its deviation, so a quiet
-step does no arithmetic.  The oracle computes pieces only up to the last
-nonzero column of its input (in a kicked step, up to where the intended
-trajectory's support ends, when x is zero past it).  The sampled Lipschitz
-and strong-convexity certificates evaluate their pairs in blocks of the same
-size.
+O(d) beside the engine's T step sizes), or a recorded trace in blocks of
+``engine.VALUE_BLOCK`` floats (``verify_trajectory``); only the largest
+deviation and the first row above the tolerance are kept.  A quiet row's
+deviation is max|x_t|, and a streamed iterate the engine yields again is
+skipped, its deviation already seen, so a quiet step does no arithmetic.
+The oracle computes pieces only up to the last nonzero column of its input
+(in a kicked step, up to where the intended trajectory's support ends, when
+x is zero past it).  The sampled Lipschitz and strong-convexity
+certificates evaluate their pairs in blocks of the same size.
 """
 
 from __future__ import annotations
@@ -361,40 +362,46 @@ class VerifyReport:
 
 def _compare(inst: AdversarialInstance, blocks, tol: float, oracle=None) -> VerifyReport:
     """Max-norm comparison of x_1..x_{T+1}, given as consecutive (k, d) row
-    blocks, with the closed form block by block, keeping only the T+1 row
-    deviations and the oracle's divergences.  A NaN or infinite ``tol`` is
-    rejected: no deviation compares above it, so every run would pass.
+    blocks, with the closed form block by block, keeping only the running
+    maximum of the row deviations, the first row above ``tol`` and the
+    oracle's divergences: memory O(block), not O(T).  A NaN deviation is
+    the maximum, as in ``max``, and no row above ``tol``.  A NaN or infinite
+    ``tol`` is rejected: no deviation compares above it, so every run would
+    pass.
 
     In the quiet prefix (t <= T-d+1) z_t is +0.0, so a row's deviation is
     max|x_t| (x - (+0.0) is x, bit for bit), and no zero block is built; a
-    quiet block that is the same object as the one before it repeats its
-    deviations."""
+    quiet block that is the same object as the one before it has the same
+    deviations, so it changes neither the maximum nor the first mismatch."""
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, not NaN or infinite, got {tol}")
-    dev = np.empty(inst.T + 1)
     window = _kicked_window(inst)
     last_quiet = inst.quiet_steps + 1
+    worst, first = -math.inf, None
     t, prev = 1, None
     for x in blocks:
-        k = x.shape[0]
-        t1 = t + k
-        out = dev[t - 1:t1 - 1]
+        t1 = t + x.shape[0]
         if t1 - 1 > last_quiet:
             z = _closed_form_block(inst, t, t1, window)
             np.subtract(x, z, out=z)
-            np.maximum.reduce(np.abs(z, out=z), axis=1, out=out)
-        elif x is prev:
-            out[:] = dev[t - 1 - k:t - 1]
+            dev = np.maximum.reduce(np.abs(z, out=z), axis=1)
+        elif x is prev:     # the deviations just seen: no new maximum or mismatch
+            t = t1
+            continue
         else:
-            np.maximum.reduce(np.abs(x), axis=1, out=out)
+            dev = np.maximum.reduce(np.abs(x), axis=1)
+        top = dev.max()
+        worst = np.maximum(worst, top)      # keeps a NaN, as dev.max() does
+        if first is None and not top <= tol:
+            bad = np.flatnonzero(dev > tol)
+            if bad.size:
+                first = t + int(bad[0])
         t, prev = t1, x
     if t != inst.T + 2:
         raise ValueError(f"got {t - 1} iterates, expected T+1 = {inst.T + 1}")
-    bad = np.flatnonzero(dev > tol)
-    first = int(bad[0]) + 1 if bad.size else None
     return VerifyReport(
         family=inst.family, d=inst.d, T=inst.T,
-        max_deviation=float(dev.max()), first_mismatch=first,
+        max_deviation=float(worst), first_mismatch=first,
         final_value=eval_f(inst, x[-1]),
         bound=lower_bound_value(inst.family, inst.d, inst.T),
         tol=tol, passed=first is None,
@@ -417,9 +424,9 @@ def verify_trajectory(inst: AdversarialInstance, trace: SgdTrace,
 def verify_instance(inst: AdversarialInstance, tol: float = 1e-9) -> VerifyReport:
     """Run the engine as :func:`run_on_instance` does and check each iterate
     as it is produced, as a one-row block viewing it: no history, f only at
-    the final iterate, memory O(T + d).  A quiet step does no arithmetic:
-    the engine yields the same iterate, and its deviation is reused.  The
-    report carries the oracle's divergences."""
+    the final iterate, memory O(d) beside the engine's T step sizes.  A
+    quiet step does no arithmetic: the engine yields the same iterate, and
+    the comparison skips it.  The report carries the oracle's divergences."""
     oracle = AdversarialOracle(inst)
     steps = sgd_steps(oracle, inst.feasible(), inst.schedule(), np.zeros(inst.d), inst.T)
     return _compare(inst, _row_blocks(steps), tol, oracle)

@@ -20,11 +20,16 @@ An instance holds one table of P[+G] per segment, ``segment_probs``, which
 :class:`TwoPointOracle`, the one oracle of both 1D studies (the grid walk's
 ``walk.GridSignOracle`` is the other caller).
 
-Paths run through the engine's one SGD kernel, :func:`engine.sgd_steps`,
-a chunk of trials at a time as one batch.  Every trial owns a counter-based
-Philox stream keyed by (seed, trial index), drawn ``TILE`` steps at a time,
-so results are independent of batch size and trial order, memory is
-O(chunk x TILE) whatever the horizon, and one path recorded by ``run_sgd``
+A clipped +/-eta*G walk visits only O(sqrt(T)) distinct floats, so paths
+do not run through the engine: :func:`transition_table` lists the floats a
+path from x0 can reach in T steps, each with its two successors (computed by
+the engine's own ``Interval.project(x - eta*g)``), its P[+G] and its
+good-set membership, and :func:`simulate_paths` steps a chunk of trials at
+a time as integer state indices through that table.  Every trial owns a
+counter-based Philox stream keyed by (seed, trial index), drawn at most
+``TILE`` steps at a time, so results are independent of batch size and
+trial order, and memory is O(chunk x TILE) plus the table whatever the
+horizon.  One path pushed through the engine by :func:`path_via_engine`
 reproduces the batched path bit for bit (see tests).
 """
 
@@ -38,20 +43,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Interval, SgdTrace, StepSchedule, run_sgd, sgd_steps
+from .engine import Interval, SgdTrace, StepSchedule, run_sgd
 
 _BAND_TOL = 1e-12
 
 #: hits a tail bin needs to enter the decay fit
 _FIT_MIN_HITS = 10
 
-#: steps of uniforms drawn from each trial's stream at a time: a batch holds
-#: them as one (TILE, B) tile, 8 MB at B = 2048, and step t reads its B
-#: uniforms as one contiguous row of it
+#: most steps of uniforms drawn from each trial's stream at a time: a batch
+#: holds them as one (TILE, B) tile, 8 MB at B = 2048, draws no more rows
+#: than it has steps left, and step t reads its B uniforms as one contiguous
+#: row of it
 TILE = 500
 
 #: streams drawn into the scratch block at a time when a batch refills its
-#: tile; the block, (_FILL_STREAMS, TILE), is then copied in transposed
+#: tile; the block, (_FILL_STREAMS, TILE) at most, is then copied in transposed
 _FILL_STREAMS = 32
 
 #: fewest trials for a stable mean; callers check it before simulating
@@ -297,70 +303,172 @@ def _philox_key_type():
     return PhiloxKey
 
 
+@dataclass(frozen=True)
+class TransitionTable:
+    """The floats a fixed-step path from x0 can reach in T steps, as states:
+    from state s a path steps to ``successors[s, 1]`` on a +G answer, with
+    probability ``plus_probs[s]``, else to ``successors[s, 0]``.  A state
+    first reached at step T is never left; its successors are state 0."""
+
+    values: np.ndarray       # (n,) the floats, good-set states first
+    plus_probs: np.ndarray   # (n,) P[+G] at each state
+    successors: np.ndarray   # (n, 2) next state on the answers -G and +G
+    good: int                # states 0..good-1 lie in the good set: one `<`
+    start: int               # the state of x0
+    step: float              # eta = 4D/(G sqrt(T))
+    threshold: float         # good-set level G D / sqrt(T)
+
+
+def transition_table(inst: NearlyLinearInstance, T: int, x0: float) -> TransitionTable:
+    """The states of fixed-step paths of T steps from x0, found level by
+    level: level L holds the floats first reached at step L, and the search
+    stops after T levels or at a level that adds nothing.
+
+    Successors are the engine's ``Interval.project(x - eta*g)`` for
+    g = -G and +G, so they carry its rounding and its signed zeros (x0 =
+    -0.0 and +0.0 are two states); states are keyed by their bits, not by
+    float equality.  P[+G] comes from :meth:`TwoPointOracle.plus_prob` and
+    membership from ``good_set(inst, T).contains``.  A clipped walk with
+    step eta*G visits O(sqrt(T)) floats: the tests bound them by
+    16 (sqrt(T)/4 + 1) up to T = 10^8."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if not inst.lo <= x0 <= inst.hi:
+        raise ValueError("x0 outside the domain")
+    eta = _fixed_step(inst, T).value
+    gs = good_set(inst, T)
+    feasible = Interval(inst.lo, inst.hi)
+    answers = np.array([-inst.grad_bound, inst.grad_bound])
+    first = np.array([float(x0)])
+    index = {first.view(np.int64).item(): 0}
+    values = first.tolist()
+    successors = []     # two per state, for the states of levels 0..L-1
+    for _ in range(T):
+        level = np.array(values[len(successors) // 2:])
+        if not level.size:
+            break
+        nxt = feasible.project(level[:, None] - eta * answers)
+        for key, x in zip(nxt.view(np.int64).ravel().tolist(), nxt.ravel().tolist()):
+            s = index.setdefault(key, len(values))
+            if s == len(values):
+                values.append(x)
+            successors.append(s)
+    n = len(values)
+    successors += [0] * (2 * n - len(successors))
+    x = np.array(values)
+    inside = gs.contains(x)
+    order = np.argsort(~inside, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    x = x[order]
+    return TransitionTable(
+        values=x, plus_probs=NearlyLinearOracle(inst).plus_prob(x[:, None])[:, 0],
+        successors=rank[np.array(successors, dtype=np.intp).reshape(n, 2)[order]],
+        good=int(np.count_nonzero(inside)), start=int(rank[0]), step=eta,
+        threshold=gs.threshold)
+
+
 def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
                    seed: int = 0, chunk: int = 2048) -> PathStats:
     """Run ``trials`` independent paths of T steps from x0 and collect
     final suboptimalities and last good-set visit times.
 
-    Each chunk of trials is one batch through :func:`engine.sgd_steps` with
-    a batched :class:`NearlyLinearOracle`; only the current iterates, the
-    last visit times and one tile of uniforms per trial are held, so memory
-    is O(chunk x TILE).  Trial r gives the same path as
+    Each chunk of trials steps as one batch of state indices through the
+    :func:`transition_table` of (inst, T, x0): per step, a lookup of P[+G],
+    the comparison with the step's uniforms, and a lookup of the next
+    state.  Only the state indices, the last visit times and one tile of at
+    most TILE uniforms per trial are held, so memory is O(chunk x TILE)
+    plus the table.  Trial r gives the same path, bit for bit, as
     ``path_via_engine(inst, T, x0, seed, trial=r)``.  Visits are decided by
     ``good_set(inst, T).contains``, which agrees with ``f(x) <= threshold``.
     """
     if T < 1 or trials < 1:
         raise ValueError("T and trials must be >= 1")
-    if not inst.lo <= x0 <= inst.hi:
-        raise ValueError("x0 outside the domain")
-    schedule = _fixed_step(inst, T)
-    gs = good_set(inst, T)
+    table = transition_table(inst, T, x0)
+    # state s is held as the id 2s; adding the comparison u < P[+G] gives
+    # 2s + 1 on a +G answer, the slot of its successor, so a step is one
+    # add and one lookup
+    probs = np.repeat(table.plus_probs, 2)
+    nxt = 2 * table.successors.ravel()
+    good = 2 * table.good
 
+    width, rows = min(chunk, trials), min(TILE, T)
+    tile = np.empty((rows, width))
+    scratch = np.empty((min(width, _FILL_STREAMS), rows))
+    p, up = np.empty(width), np.empty(width, dtype=bool)
+    ids, spare = np.empty(width, dtype=np.intp), np.empty(width, dtype=np.intp)
     final_x = np.empty(trials)
     last_visit = np.full(trials, -1, dtype=np.int64)
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        oracle = NearlyLinearOracle(inst, trial=np.arange(start, stop))
+        b = stop - start
+        streams = [trial_stream(seed, r) for r in range(start, stop)]
+        k, k_next, pb, ub = ids[:b], spare[:b], p[:b], up[:b]
+        k.fill(2 * table.start)
         last = last_visit[start:stop]  # a view: the loop fills last_visit
-        for t, _, x in sgd_steps(oracle, Interval(inst.lo, inst.hi), schedule,
-                                 np.full((stop - start, 1), float(x0)), T, seed):
-            np.putmask(last, gs.contains(x[:, 0]), t)
-        final_x[start:stop] = x[:, 0]
+        if table.start < table.good:
+            last.fill(0)
+        for t0 in range(0, T, rows):
+            block = tile[:min(rows, T - t0), :b]
+            _draw(streams, block, scratch)
+            for t, u in enumerate(block, start=t0 + 1):
+                probs.take(k, out=pb, mode="clip")
+                np.less(u, pb, out=ub)
+                np.add(k, ub, out=k)
+                nxt.take(k, out=k_next, mode="clip")
+                k, k_next = k_next, k
+                np.less(k, good, out=ub)
+                np.putmask(last, ub, t)
+        final_x[start:stop] = table.values.take(k >> 1)
+        del streams     # before the next chunk's are made
 
     return PathStats(
-        T=T, trials=trials, x0=float(x0), seed=seed, step=schedule.value,
-        threshold=gs.threshold, final_x=final_x, final_subopt=np.asarray(inst.f(final_x)),
-        last_visit=last_visit)
+        T=T, trials=trials, x0=float(x0), seed=seed, step=table.step,
+        threshold=table.threshold, final_x=final_x,
+        final_subopt=np.asarray(inst.f(final_x)), last_visit=last_visit)
+
+
+def _draw(streams, block: np.ndarray, scratch: np.ndarray) -> None:
+    """The next ``len(block)`` uniforms of stream j into column j of the
+    (steps, B) block: ``_FILL_STREAMS`` streams at a time are drawn into
+    rows of the scratch block, which is then copied in transposed, so a
+    step's uniforms are one contiguous row.  A stream's sequence does not
+    depend on how its draws are split."""
+    steps = block.shape[0]
+    for s in range(0, len(streams), _FILL_STREAMS):
+        group = streams[s:s + _FILL_STREAMS]
+        fill = scratch[:len(group), :steps]
+        for stream, row in zip(group, fill):
+            stream.random(out=row)
+        block[:, s:s + len(group)] = fill.T
 
 
 class TwoPointOracle:
-    """Engine oracle answering +G when the step's uniform is below
-    ``probs[i]``, where i counts the ``cuts`` <= x, and -G otherwise.
+    """Engine oracle for one point of shape (1,): +G when the step's
+    uniform is below ``probs[i]``, where i counts the ``cuts`` <= x, and -G
+    otherwise.
 
-    ``streams(seed)`` makes one uniform stream per point at the first query
-    after ``reset``; ``f`` maps a (k,) array of points to their values.  One
-    point of shape (1,) is answered in Python floats (a ``bisect_right``, a
-    list of TILE uniforms: the doubles of one ``random()`` call per step),
-    a batch of shape (B, 1) with one comparison per cut and table lookups.
-    A batch holds its uniforms step-major, as a (TILE, B) tile whose row
-    for a step is contiguous; each refill draws ``_FILL_STREAMS`` streams at
-    a time into a small scratch block and copies it into the tile's
-    columns, so no second tile is ever held."""
+    ``stream(seed)`` makes the uniform stream at the first query after
+    ``reset``; ``f`` maps a (k,) array of points to their values.  A query
+    is answered in Python floats: a ``bisect_right`` over the cuts and a
+    list of TILE uniforms, the doubles of one ``random()`` call per TILE
+    steps.  A batch of points is refused.  :meth:`plus_prob` also answers
+    an array of points (:func:`transition_table` reads it)."""
 
-    def __init__(self, cuts, probs, grad_bound: float, streams, f):
+    def __init__(self, cuts, probs, grad_bound: float, stream, f):
         self._cuts = np.asarray(cuts, dtype=float).tolist()
         self._probs = np.asarray(probs, dtype=float)
         self._prob_list = self._probs.tolist()
-        self._answers = np.array([-grad_bound, grad_bound])
-        self._answers.setflags(write=False)
-        self._down, self._up = self._answers[:1], self._answers[1:]
-        self._make_streams = streams
+        answers = np.array([-grad_bound, grad_bound])
+        answers.setflags(write=False)
+        self._down, self._up = answers[:1], answers[1:]
+        self._make_stream = stream
         self._f = f
         self.reset(0)
 
     def reset(self, seed: int) -> None:
         self._seed = seed
-        self._streams = None
+        self._stream = None
         self._col = TILE
 
     def value(self, X) -> np.ndarray:
@@ -379,48 +487,28 @@ class TwoPointOracle:
         return self._probs.take(seg)
 
     def subgradient(self, x, t: int) -> np.ndarray:
-        if self._col == TILE:  # the next TILE uniforms of every stream
-            if self._streams is None:
-                self._streams = self._make_streams(self._seed)
-                n = len(self._streams)
-                self._scratch = np.empty((min(n, _FILL_STREAMS), TILE))
-                self._tile = None if x.ndim == 1 else np.empty((TILE, n))
-            if x.ndim == 1:
-                self._streams[0].random(out=self._scratch[0])
-                self._uniforms = self._scratch[0].tolist()
-            else:
-                self._refill()
+        if x.ndim != 1:
+            raise ValueError(f"TwoPointOracle answers one point of shape (1,), "
+                             f"got shape {x.shape}")
+        if self._col == TILE:  # the stream's next TILE uniforms
+            if self._stream is None:
+                self._stream = self._make_stream(self._seed)
+            self._uniforms = self._stream.random(TILE).tolist()
             self._col = 0
         col = self._col
         self._col = col + 1
-        if x.ndim == 1:
-            return self._up if self._uniforms[col] < self.plus_prob(x) else self._down
-        # table lookups in place of a data-dependent select: u < p is random,
-        # so branching on it mispredicts about half the time
-        up = self._tile[col] < self.plus_prob(x).reshape(-1)
-        return self._answers.take(up.astype(np.intp)).reshape(x.shape)
-
-    def _refill(self) -> None:
-        """The next TILE uniforms of every stream into the tile, a column each."""
-        streams = self._streams
-        for s in range(0, len(streams), _FILL_STREAMS):
-            group = streams[s:s + _FILL_STREAMS]
-            block = self._scratch[:len(group)]
-            for stream, row in zip(group, block):
-                stream.random(out=row)
-            self._tile[:, s:s + len(group)] = block.T
+        return self._up if self._uniforms[col] < self.plus_prob(x) else self._down
 
 
 class NearlyLinearOracle(TwoPointOracle):
-    """The two-point oracle of an instance for one trial (an int ``trial``,
-    points of shape (1,)) or for a batch (an index array; row r of a (B, 1)
-    batch draws from the (seed, ``trial[r]``) Philox stream, so a trial's
-    answers do not depend on its batch)."""
+    """The two-point oracle of an instance for one trial: it draws from the
+    (seed, ``trial``) Philox stream, as row ``trial`` of
+    :func:`simulate_paths` does."""
 
-    def __init__(self, inst: NearlyLinearInstance, trial=0):
-        trials = np.atleast_1d(trial)
+    def __init__(self, inst: NearlyLinearInstance, trial: int = 0):
+        trial = int(trial)
         super().__init__(inst.knots[1:-1], inst.segment_probs, inst.grad_bound,
-                         lambda seed: [trial_stream(seed, int(r)) for r in trials], inst.f)
+                         lambda seed: trial_stream(seed, trial), inst.f)
 
 
 def _fixed_step(inst: NearlyLinearInstance, T: int) -> StepSchedule:

@@ -211,7 +211,7 @@ class GridSignOracle(TwoPointOracle):
 
     def __init__(self, chain: WalkChain, f: Callable[[np.ndarray], np.ndarray]):
         super().__init__((np.arange(chain.n) + 0.5) / chain.n, chain.left_probs, 1.0,
-                         lambda seed: [np.random.default_rng(seed)], f)
+                         np.random.default_rng, f)
 
 
 def simulate_chain_sgd(chain: WalkChain, f: Callable[[np.ndarray], np.ndarray],

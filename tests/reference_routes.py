@@ -8,7 +8,10 @@ independent route to the values it asserts:
   piece values;
 - the dense transition matrix of a walk, from its three diagonals;
 - the conditional mean of a nearly linear instance's oracle, from a
-  ``searchsorted`` over its interior knots.
+  ``searchsorted`` over its interior knots;
+- a nearly linear instance's two-point oracle for a (B, 1) batch of
+  points, so that batched paths can run through the engine's array step
+  beside ``simulate_paths``' transition table.
 
 No route of the library uses them; the two dense tables cost O(d^2) and
 O(n^2) memory.
@@ -17,6 +20,7 @@ O(n^2) memory.
 import numpy as np
 
 import lastiter.constructions as cons
+import lastiter.nearly_linear as nl
 import lastiter.walk as wk
 
 
@@ -52,3 +56,35 @@ def mean_grad(inst, x):
     """Conditional mean of a nearly linear instance's oracle at x: the
     right-derivative slope (left derivative at the right endpoint)."""
     return inst.slopes[np.searchsorted(inst.knots[1:-1], x, side="right")]
+
+
+class BatchTwoPointOracle:
+    """A nearly linear instance's two-point oracle for a (B, 1) batch: row r
+    answers step t with +G when the t-th uniform of the (seed, ``trials[r]``)
+    Philox stream is below P[+G] at its point (a ``searchsorted`` over the
+    interior knots), and -G otherwise.  Each stream is drawn ``nl.TILE``
+    steps at a time, whatever the horizon, into a step-major (TILE, B)
+    tile."""
+
+    def __init__(self, inst, trials):
+        self._inst = inst
+        self._trials = [int(r) for r in trials]
+        self._answers = np.array([-inst.grad_bound, inst.grad_bound])
+        self.reset(0)
+
+    def reset(self, seed: int) -> None:
+        self._seed, self._streams, self._col = seed, None, nl.TILE
+
+    def subgradient(self, x, t: int) -> np.ndarray:
+        if self._col == nl.TILE:
+            if self._streams is None:
+                self._streams = [nl.trial_stream(self._seed, r) for r in self._trials]
+                self._tile = np.empty((nl.TILE, len(self._streams)))
+            for j, stream in enumerate(self._streams):
+                self._tile[:, j] = stream.random(nl.TILE)
+            self._col = 0
+        u = self._tile[self._col]
+        self._col += 1
+        probs = self._inst.segment_probs[
+            np.searchsorted(self._inst.knots[1:-1], x[:, 0], side="right")]
+        return self._answers[(u < probs).astype(np.intp)][:, None]

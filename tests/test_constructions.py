@@ -357,6 +357,10 @@ def test_verify_trajectory_pass_and_tamper():
     trace.iterates[4, 0] += 1e-3
     bad = cons.verify_trajectory(inst, trace, tol=1e-9)
     assert not bad.passed and bad.first_mismatch == 5
+    # a NaN row earlier in the same block is the maximum but no mismatch
+    trace.iterates[1, 1] = math.nan
+    bad = cons.verify_trajectory(inst, trace, tol=1e-9)
+    assert not bad.passed and bad.first_mismatch == 5 and math.isnan(bad.max_deviation)
 
 
 def test_quiet_deviations_and_repeated_rows():
@@ -450,6 +454,21 @@ def test_verify_instance_memory_is_o_of_d():
         tracemalloc.stop()
     assert rep.passed and rep.divergences == []
     assert peak < one_history / 10, peak
+
+
+def test_verify_instance_keeps_no_per_step_deviation():
+    # the comparison keeps a running maximum and a first index, not T+1 row
+    # deviations; what stays O(T) at d = 2 is the engine's step sizes, three
+    # floats per step while they are computed (arange, sqrt and quotient)
+    inst = cons.build_instance("lip-dec", 2, 50_000)
+    tracemalloc.start()
+    try:
+        rep = cons.verify_instance(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 3.5 * 8 * inst.T, peak / inst.T
 
 
 @pytest.mark.parametrize("family", cons.FAMILIES)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,11 +7,15 @@ import pytest
 from lastiter import nearly_linear as nl
 from lastiter.engine import Interval, StepSchedule, sgd_steps
 from lastiter import walk as wk
-from reference_routes import mean_grad
+from reference_routes import BatchTwoPointOracle, mean_grad
 
 
 def abs_instance(epsilon=0.5):
     return nl.build_nearly_linear("abs", 1.0, 1.0, epsilon)
+
+
+def asym_abs_instance():
+    return nl.build_nearly_linear("asym_abs", 1.0, 1.0, 0.5, band_ratio=0.5)
 
 
 def multi_knot_instance():
@@ -59,9 +64,7 @@ def test_piecewise_shape_and_band_validation():
     # the searchsorted index over the interior knots: at every knot (the
     # domain ends among them) and its neighbouring floats, at +/-0.0 and
     # beyond both ends
-    for case in (abs_instance(), nl.build_nearly_linear("asym_abs", 1.0, 1.0, 0.5,
-                                                        band_ratio=0.5),
-                 inst, multi_knot_instance()):
+    for case in (abs_instance(), asym_abs_instance(), inst, multi_knot_instance()):
         ks = case.knots
         xs = np.concatenate([ks, np.nextafter(ks, -np.inf), np.nextafter(ks, np.inf),
                              [0.0, -0.0, case.lo - 1.0, case.hi + 1.0, -np.inf, np.inf],
@@ -180,6 +183,10 @@ def test_oracle_draws_are_bounded_and_unbiased():
     band = (inst.band_ratio * inst.epsilon * inst.grad_bound,
             inst.epsilon * inst.grad_bound)
     assert band[0] - 4 * se <= abs(mean) <= band[1] + 4 * se
+    # the engine oracle answers one point at a time; batches step through
+    # simulate_paths' table
+    with pytest.raises(ValueError, match="one point"):
+        nl.NearlyLinearOracle(inst).subgradient(np.full((4, 1), x), 1)
 
 
 # --------------------------------------------------------------- simulation
@@ -241,7 +248,8 @@ def test_batched_paths_cross_tiles_like_engine_paths():
 
 
 def reference_paths(inst, T, trials, x0, seed, chunk):
-    """The batched loop with membership tested as f(x) <= theta."""
+    """Batched paths through the engine's array step, with the reference
+    batch oracle and membership tested as f(x) <= theta."""
     theta = inst.grad_bound * inst.diameter / math.sqrt(T)
     eta = 4.0 * inst.diameter / (inst.grad_bound * math.sqrt(T))
     schedule = StepSchedule("constant", value=eta)
@@ -249,12 +257,34 @@ def reference_paths(inst, T, trials, x0, seed, chunk):
     last_visit = np.full(trials, -1, dtype=np.int64)
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        oracle = nl.NearlyLinearOracle(inst, trial=np.arange(start, stop))
+        oracle = BatchTwoPointOracle(inst, range(start, stop))
         for t, _, x in sgd_steps(oracle, Interval(inst.lo, inst.hi), schedule,
                                  np.full((stop - start, 1), float(x0)), T, seed):
             last_visit[start:stop][inst.f(x[:, 0]) <= theta] = t
         final_x[start:stop] = x[:, 0]
     return final_x, last_visit
+
+
+@pytest.mark.parametrize("make", [abs_instance, asym_abs_instance, multi_knot_instance],
+                         ids=["abs", "asym_abs", "piecewise"])
+def test_table_paths_equal_engine_batches_bit_for_bit(make):
+    # starts at -0.0, at each domain end and off the lattice, for one step
+    # and for 256, in chunks that split the trials; compared as bytes, since
+    # np.array_equal does not tell -0.0 from +0.0
+    inst = make()
+    trials, chunk = 500, 200
+    for x0 in (-0.0, inst.lo, inst.hi, 0.1234567 * inst.diameter):
+        for T in (1, 256):
+            stats = nl.simulate_paths(inst, T, trials, x0, seed=9, chunk=chunk)
+            final_x, last_visit = reference_paths(inst, T, trials, x0, seed=9, chunk=chunk)
+            assert stats.final_x.tobytes() == final_x.tobytes(), (x0, T)
+            assert stats.last_visit.tobytes() == last_visit.tobytes(), (x0, T)
+            assert stats.final_subopt.tobytes() == inst.f(final_x).tobytes(), (x0, T)
+    # from -0.0 the engine's x - eta*g comes back to 0 as +0.0: a table that
+    # merged the two zeros would end these paths at -0.0
+    zeros = nl.simulate_paths(inst, 256, trials, -0.0, seed=9).final_x
+    zeros = zeros[zeros == 0.0]
+    assert zeros.size and not np.signbit(zeros).any()
 
 
 @pytest.mark.parametrize("inst, T, x0, chunk", [
@@ -272,6 +302,72 @@ def test_paths_match_membership_by_f(inst, T, x0, chunk):
     assert np.array_equal(stats.last_visit, last_visit)
     gs = nl.good_set(inst, T)
     assert np.any(np.minimum(np.abs(final_x - gs.left), np.abs(final_x - gs.right)) < 1e-12)
+
+
+def exact_law(table, T):
+    """Law of x_T over the table's states: the point mass at x0 pushed T
+    steps through the successors."""
+    n = table.values.size
+    law = np.zeros(n)
+    law[table.start] = 1.0
+    p = table.plus_probs
+    for _ in range(T):
+        law = (np.bincount(table.successors[:, 1], law * p, n)
+               + np.bincount(table.successors[:, 0], law * (1.0 - p), n))
+    return law
+
+
+@pytest.mark.parametrize("inst, T, x0, want", [
+    (abs_instance(0.5), 400, 0.5, (1.769231, 0.3600)),
+    (abs_instance(0.5), 1600, 0.5, None),
+    (multi_knot_instance(), 400, 0.7, None)], ids=["abs-400", "abs-1600", "piecewise-400"])
+def test_monte_carlo_matches_exact_law_of_float_process(inst, T, x0, want):
+    # the law of the float process, boundary rounding included: at abs eps
+    # 1/2, T = 400 the lattice points +/-0.1 sit on the good set's boundary
+    # and only some of their float copies count as inside
+    table = nl.transition_table(inst, T, x0)
+    start = time.perf_counter()
+    law = exact_law(table, T)
+    assert time.perf_counter() - start < 1.0
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
+    fx = inst.f(table.values)
+    inside = (np.arange(table.values.size) < table.good).astype(float)
+    mean_f, p_inside = float(law @ fx), float(law @ inside)
+    if want is not None:
+        assert mean_f * math.sqrt(T) == pytest.approx(want[0], abs=5e-7)
+        assert p_inside == pytest.approx(want[1], abs=5e-5)
+    trials = 20_000
+    stats = nl.simulate_paths(inst, T, trials, x0, seed=0)
+    for values, mean, sample in ((fx, mean_f, stats.final_subopt),
+                                 (inside, p_inside, stats.last_visit == T)):
+        sd = math.sqrt(law @ values ** 2 - mean ** 2)
+        z = (sample.mean() - mean) / (sd / math.sqrt(trials))
+        assert abs(z) <= 4, (T, z)
+
+
+@pytest.mark.parametrize("make", [abs_instance, multi_knot_instance], ids=["abs", "piecewise"])
+def test_transition_table_is_small_and_consistent(make):
+    # a clipped +/-eta*G walk visits O(sqrt(T)) floats: sqrt(T)/4 lattice
+    # points, each in a few float copies (at most 6.7 per point measured)
+    inst = make()
+    for T in (1, 400, 25_600, 10 ** 6, 10 ** 8):
+        gs = nl.good_set(inst, T)
+        for x0 in (inst.hi, 0.0, 0.1234567 * inst.diameter):
+            seconds = math.inf
+            for _ in range(3):    # the best of three, against a busy host
+                start = time.perf_counter()
+                table = nl.transition_table(inst, T, x0)
+                seconds = min(seconds, time.perf_counter() - start)
+            n = table.values.size
+            assert n <= 16 * (math.sqrt(T) / 4 + 1), (T, x0, n)
+            assert seconds < 0.1, (T, x0, seconds)
+            assert table.values[table.start] == x0
+            assert np.unique(table.values.view(np.int64)).size == n
+            assert table.successors.shape == (n, 2)
+            assert 0 <= table.successors.min() and table.successors.max() < n
+            inside = gs.contains(table.values)
+            assert inside[:table.good].all() and not inside[table.good:].any()
+            assert np.array_equal(table.plus_probs, searchsorted_probs(inst, table.values))
 
 
 def test_start_at_minimum_hits_good_set_immediately():

@@ -363,11 +363,11 @@ class VerifyReport:
 def _compare(inst: AdversarialInstance, blocks, tol: float, oracle=None) -> VerifyReport:
     """Max-norm comparison of x_1..x_{T+1}, given as consecutive (k, d) row
     blocks, with the closed form block by block, keeping only the running
-    maximum of the row deviations, the first row above ``tol`` and the
+    maximum of the row deviations, the first row not within ``tol`` and the
     oracle's divergences: memory O(block), not O(T).  A NaN deviation is
-    the maximum, as in ``max``, and no row above ``tol``.  A NaN or infinite
-    ``tol`` is rejected: no deviation compares above it, so every run would
-    pass.
+    the maximum, as in ``max``, and a mismatch, so a run whose iterates hold
+    NaN fails.  A NaN or infinite ``tol`` is rejected: no deviation compares
+    above it, so every run would pass.
 
     In the quiet prefix (t <= T-d+1) z_t is +0.0, so a row's deviation is
     max|x_t| (x - (+0.0) is x, bit for bit), and no zero block is built; a
@@ -393,9 +393,7 @@ def _compare(inst: AdversarialInstance, blocks, tol: float, oracle=None) -> Veri
         top = dev.max()
         worst = np.maximum(worst, top)      # keeps a NaN, as dev.max() does
         if first is None and not top <= tol:
-            bad = np.flatnonzero(dev > tol)
-            if bad.size:
-                first = t + int(bad[0])
+            first = t + int(np.flatnonzero(~(dev <= tol))[0])
         t, prev = t1, x
     if t != inst.T + 2:
         raise ValueError(f"got {t - 1} iterates, expected T+1 = {inst.T + 1}")

@@ -25,12 +25,15 @@ do not run through the engine: :func:`transition_table` lists the floats a
 path from x0 can reach in T steps, each with its two successors (computed by
 the engine's own ``Interval.project(x - eta*g)``), its P[+G] and its
 good-set membership, and :func:`simulate_paths` steps a chunk of trials at
-a time as integer state indices through that table.  Every trial owns a
+a time as integer state indices through that table, folding good-set visits
+into last visit times per block of steps.  Every trial owns a
 counter-based Philox stream keyed by (seed, trial index), drawn at most
 ``TILE`` steps at a time, so results are independent of batch size and
 trial order, and memory is O(chunk x TILE) plus the table whatever the
-horizon.  One path pushed through the engine by :func:`path_via_engine`
-reproduces the batched path bit for bit (see tests).
+horizon.  A call builds one pool of streams and re-keys it for each chunk
+(:func:`_rekey`, beside :func:`trial_stream`).  One path pushed through the
+engine by :func:`path_via_engine` reproduces the batched path bit for bit
+(see tests).
 """
 
 from __future__ import annotations
@@ -53,8 +56,14 @@ _FIT_MIN_HITS = 10
 #: most steps of uniforms drawn from each trial's stream at a time: a batch
 #: holds them as one (TILE, B) tile, 8 MB at B = 2048, draws no more rows
 #: than it has steps left, and step t reads its B uniforms as one contiguous
-#: row of it
+#: row of it, then writes the B next state ids over that row
 TILE = 500
+
+#: most steps whose good-set visits are folded into the last visit times at
+#: once, from a (_FOLD_STEPS, B) bool block; step numbers within a block
+#: fit a uint8
+_FOLD_STEPS = 64
+_STEP_NUMBERS = np.arange(1, _FOLD_STEPS + 1, dtype=np.uint8)[:, None]
 
 #: streams drawn into the scratch block at a time when a batch refills its
 #: tile; the block, (_FILL_STREAMS, TILE) at most, is then copied in transposed
@@ -277,6 +286,21 @@ def trial_stream(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_philox_key_type()(key)))
 
 
+_ZEROS = (0, 0, 0, 0)
+
+
+def _rekey(stream: np.random.Generator, seed: int, trial: int) -> None:
+    """Put a :func:`trial_stream` in the state of a fresh
+    ``trial_stream(seed, trial)``, however far it was drawn: key (seed,
+    trial), counter 0, no buffered words and no buffered uint32.  Setting
+    the state makes no new Generator or Philox, so it is much cheaper than
+    building a stream."""
+    stream.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": (seed, trial)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 @functools.cache
 def _philox_key_type():
     """Seed-sequence type whose instances hand Philox a given key, once.
@@ -373,14 +397,21 @@ def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
     """Run ``trials`` independent paths of T steps from x0 and collect
     final suboptimalities and last good-set visit times.
 
-    Each chunk of trials steps as one batch of state indices through the
-    :func:`transition_table` of (inst, T, x0): per step, a lookup of P[+G],
-    the comparison with the step's uniforms, and a lookup of the next
-    state.  Only the state indices, the last visit times and one tile of at
-    most TILE uniforms per trial are held, so memory is O(chunk x TILE)
-    plus the table.  Trial r gives the same path, bit for bit, as
-    ``path_via_engine(inst, T, x0, seed, trial=r)``.  Visits are decided by
-    ``good_set(inst, T).contains``, which agrees with ``f(x) <= threshold``.
+    Each chunk of trials steps as one batch of state ids through the
+    :func:`transition_table` of (inst, T, x0), four numpy calls per step: a
+    lookup of P[+G], the comparison with the step's uniforms, the add that
+    picks the successor's slot, and the lookup of the next state, which is
+    written over the tile row of uniforms the step has just read.  After
+    each block of at most ``_FOLD_STEPS`` steps those rows of state ids are
+    folded into the last visit times at once.  One pool of at most
+    ``min(chunk, trials)`` streams is built per call, and each later chunk
+    re-keys it in place (:func:`_rekey`).  Only the state ids, the last
+    visit times, one tile of at most TILE uniforms per trial and the
+    (``_FOLD_STEPS``, chunk) block of visits are held, so memory is
+    O(chunk x TILE) plus the table.  Trial r gives the same path, bit for
+    bit, as ``path_via_engine(inst, T, x0, seed, trial=r)``.  Visits are
+    decided by ``good_set(inst, T).contains``, which agrees with
+    ``f(x) <= threshold``.
     """
     if T < 1 or trials < 1:
         raise ValueError("T and trials must be >= 1")
@@ -395,37 +426,66 @@ def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
     width, rows = min(chunk, trials), min(TILE, T)
     tile = np.empty((rows, width))
     scratch = np.empty((min(width, _FILL_STREAMS), rows))
+    visits = np.empty((min(_FOLD_STEPS, rows), width), dtype=bool)
     p, up = np.empty(width), np.empty(width, dtype=bool)
-    ids, spare = np.empty(width, dtype=np.intp), np.empty(width, dtype=np.intp)
+    ids, slots = np.empty(width, dtype=np.intp), np.empty(width, dtype=np.intp)
     final_x = np.empty(trials)
     last_visit = np.full(trials, -1, dtype=np.int64)
+    streams = [trial_stream(seed, r) for r in range(width)]
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         b = stop - start
-        streams = [trial_stream(seed, r) for r in range(start, stop)]
-        k, k_next, pb, ub = ids[:b], spare[:b], p[:b], up[:b]
+        if start:
+            for stream, r in zip(streams, range(start, stop)):
+                _rekey(stream, seed, r)
+        k, sb, pb, ub = ids[:b], slots[:b], p[:b], up[:b]
         k.fill(2 * table.start)
         last = last_visit[start:stop]  # a view: the loop fills last_visit
         if table.start < table.good:
             last.fill(0)
         for t0 in range(0, T, rows):
             block = tile[:min(rows, T - t0), :b]
-            _draw(streams, block, scratch)
-            for t, u in enumerate(block, start=t0 + 1):
-                probs.take(k, out=pb, mode="clip")
-                np.less(u, pb, out=ub)
-                np.add(k, ub, out=k)
-                nxt.take(k, out=k_next, mode="clip")
-                k, k_next = k_next, k
-                np.less(k, good, out=ub)
-                np.putmask(last, ub, t)
+            _draw(streams[:b], block, scratch)
+            # step t writes the state ids of x_t over row t - t0 - 1, whose
+            # uniforms it has just read
+            states = block.view(np.intp)
+            for f0 in range(0, len(block), _FOLD_STEPS):
+                fold = states[f0:f0 + _FOLD_STEPS]
+                for u, row in zip(block[f0:f0 + _FOLD_STEPS], fold):
+                    probs.take(k, out=pb, mode="clip")
+                    np.less(u, pb, out=ub)
+                    np.add(k, ub, out=sb)
+                    nxt.take(sb, out=row, mode="clip")
+                    k = row
+                _fold_visits(fold, good, visits, t0 + f0, last)
+            k = ids[:b]
+            k[:] = row      # before the next refill overwrites the row
         final_x[start:stop] = table.values.take(k >> 1)
-        del streams     # before the next chunk's are made
+    del streams     # the pool is not held while f is evaluated
 
     return PathStats(
         T=T, trials=trials, x0=float(x0), seed=seed, step=table.step,
         threshold=table.threshold, final_x=final_x,
         final_subopt=np.asarray(inst.f(final_x)), last_visit=last_visit)
+
+
+def _fold_visits(states: np.ndarray, good: int, visits: np.ndarray, t0: int,
+                 last: np.ndarray) -> None:
+    """Set ``last[j]`` to t0 + i + 1 for the last row i of the (n, B) state
+    ids whose column j is a good-set id (below ``good``), where some row is.
+
+    Row i is weighted by its step number i + 1 in the block and the rows
+    are reduced by ``max``: the step of the last visit, or 0 for none.  A
+    reverse ``argmax`` down each column gives the same, but numpy computes
+    it through a transposed copy of the block, where ``max`` reduces rows
+    in place."""
+    n = len(states)
+    hit = visits[:n, :states.shape[1]]
+    np.less(states, good, out=hit)
+    step = hit.view(np.uint8)
+    np.multiply(step, _STEP_NUMBERS[:n], out=step)
+    top = np.maximum.reduce(step, axis=0)
+    np.putmask(last, top, top.astype(np.int64) + t0)
 
 
 def _draw(streams, block: np.ndarray, scratch: np.ndarray) -> None:

@@ -357,10 +357,16 @@ def test_verify_trajectory_pass_and_tamper():
     trace.iterates[4, 0] += 1e-3
     bad = cons.verify_trajectory(inst, trace, tol=1e-9)
     assert not bad.passed and bad.first_mismatch == 5
-    # a NaN row earlier in the same block is the maximum but no mismatch
+    # a NaN row earlier in the same block is the maximum and the first
+    # mismatch: NaN is not within any tol
     trace.iterates[1, 1] = math.nan
     bad = cons.verify_trajectory(inst, trace, tol=1e-9)
-    assert not bad.passed and bad.first_mismatch == 5 and math.isnan(bad.max_deviation)
+    assert not bad.passed and bad.first_mismatch == 2 and math.isnan(bad.max_deviation)
+    # a NaN alone fails the run
+    trace = cons.run_on_instance(inst)
+    trace.iterates[1, 1] = math.nan
+    bad = cons.verify_trajectory(inst, trace, tol=1e-9)
+    assert not bad.passed and bad.first_mismatch == 2 and math.isnan(bad.max_deviation)
 
 
 def test_quiet_deviations_and_repeated_rows():

@@ -126,7 +126,8 @@ def test_good_set_endpoints_are_exact(monkeypatch):
     # each endpoint is the last float, counted from 0, with computed
     # f <= threshold, and contains() is the test f(x) <= threshold at the
     # points where either could change value: knots, endpoints, their
-    # neighbouring floats, +/-0.0 and the domain ends
+    # neighbouring floats, +/-0.0 and the domain ends.  The sets of one
+    # instance are built under one patch and checked with one call of f
     calls = []
     f = nl.NearlyLinearInstance.f
 
@@ -141,23 +142,33 @@ def test_good_set_endpoints_are_exact(monkeypatch):
     for inst in (abs_instance(0.1), abs_instance(0.5), abs_instance(1.0),
                  nl.build_nearly_linear("asym_abs", 1.0, 1.0, 0.5, band_ratio=0.5),
                  multi_knot_instance(), nl.build_nearly_linear("abs", 2.0, 3.0, 0.5)):
-        for T in GOOD_SET_HORIZONS:
-            with monkeypatch.context() as m:
-                m.setattr(nl.NearlyLinearInstance, "f", counted_f)
+        sets = []
+        with monkeypatch.context() as m:
+            m.setattr(nl.NearlyLinearInstance, "f", counted_f)
+            for T in GOOD_SET_HORIZONS:
                 calls.clear()
-                gs = nl.good_set(inst, T)
-            theta = gs.threshold
-            assert theta == inst.grad_bound * inst.diameter / math.sqrt(T)
-            for end, outward in ((gs.left, -math.inf), (gs.right, math.inf)):
-                assert inst.f(end) <= theta, (inst.shape, T, end)
-                beyond = math.nextafter(end, outward)
-                assert not inst.lo <= beyond <= inst.hi or inst.f(beyond) > theta, (
-                    inst.shape, T, end)
-            ends = np.array([gs.left, gs.right, 0.0, -0.0, inst.lo, inst.hi])
-            xs = np.concatenate([inst.knots, ends])
-            xs = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)])
-            xs = xs[(xs >= inst.lo) & (xs <= inst.hi)]
-            assert np.array_equal(gs.contains(xs), inst.f(xs) <= theta), (inst.shape, T)
+                sets.append(nl.good_set(inst, T))
+        theta = np.array([gs.threshold for gs in sets])[:, None]
+        assert np.array_equal(theta[:, 0], [inst.grad_bound * inst.diameter / math.sqrt(T)
+                                            for T in GOOD_SET_HORIZONS]), inst.shape
+        # per horizon (one row each): the endpoints, the floats just beyond
+        # them, and the knots, ends, zeros and domain ends with both neighbours
+        ends = np.array([[gs.left, gs.right] for gs in sets])
+        beyond = np.nextafter(ends, [-np.inf, np.inf])
+        xs = np.hstack([np.broadcast_to(inst.knots, (len(sets), inst.knots.size)), ends,
+                        np.broadcast_to([0.0, -0.0, inst.lo, inst.hi], (len(sets), 4))])
+        xs = np.hstack([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)])
+        fx = inst.f(np.hstack([ends, beyond, xs]))
+        f_ends, f_beyond, fx = fx[:, :2], fx[:, 2:4], fx[:, 4:]
+        bad = np.flatnonzero(~np.all(f_ends <= theta, axis=1))
+        assert not bad.size, (inst.shape, [GOOD_SET_HORIZONS[i] for i in bad[:5]])
+        outside = (beyond < inst.lo) | (beyond > inst.hi)
+        bad = np.flatnonzero(~np.all(outside | (f_beyond > theta), axis=1))
+        assert not bad.size, (inst.shape, [GOOD_SET_HORIZONS[i] for i in bad[:5]])
+        inside = (xs >= inst.lo) & (xs <= inst.hi)
+        contains = np.array([gs.contains(row) for gs, row in zip(sets, xs)])
+        bad = np.flatnonzero(np.any(inside & (contains != (fx <= theta)), axis=1))
+        assert not bad.size, (inst.shape, [GOOD_SET_HORIZONS[i] for i in bad[:5]])
 
 
 def test_good_set_shrinks_with_horizon():
@@ -198,6 +209,70 @@ def test_trial_stream_is_the_keyed_philox_stream():
             key=np.array([seed, trial], dtype=np.uint64)))
         draws = nl.trial_stream(seed, trial).random(2 * nl.TILE + 3)
         assert np.array_equal(draws, ref.random(2 * nl.TILE + 3))
+
+
+def test_rekeyed_stream_is_a_fresh_trial_stream():
+    # a stream left partway through a buffered word (an odd number of
+    # doubles, then a uint32 that leaves the other half buffered) and
+    # re-keyed draws as a fresh trial_stream of the new key
+    pairs = ((0, 0), (5, 13), (7, 2 ** 40), (2 ** 63, 32767))
+    for (seed, trial), used in zip(pairs, pairs[1:] + pairs[:1]):
+        stream = nl.trial_stream(*used)
+        stream.random(2 * nl.TILE + 3)
+        stream.integers(0, 10, dtype=np.uint32)
+        assert stream.bit_generator.state["has_uint32"] == 1
+        nl._rekey(stream, seed, trial)
+        fresh = nl.trial_stream(seed, trial)
+        assert np.array_equal(stream.integers(0, 2 ** 32, size=3, dtype=np.uint32),
+                              fresh.integers(0, 2 ** 32, size=3, dtype=np.uint32))
+        assert np.array_equal(stream.random(2 * nl.TILE + 3), fresh.random(2 * nl.TILE + 3))
+
+
+def test_one_pool_of_streams_per_call(monkeypatch):
+    # each call builds at most min(chunk, trials) streams and re-keys them
+    # for the later chunks, the last of which may use only part of the pool
+    made = []
+    trial_stream = nl.trial_stream
+
+    def counted(seed, trial):
+        made.append(trial)
+        return trial_stream(seed, trial)
+
+    monkeypatch.setattr(nl, "trial_stream", counted)
+    inst = abs_instance()
+    for trials, chunk in ((75, 40), (75, 75), (30, 40), (129, 32)):
+        made.clear()
+        stats = nl.simulate_paths(inst, 50, trials, 0.5, seed=2, chunk=chunk)
+        assert len(made) <= min(chunk, trials), (trials, chunk)
+        final_x, last_visit = reference_paths(inst, 50, trials, 0.5, seed=2, chunk=chunk)
+        assert np.array_equal(stats.final_x, final_x), (trials, chunk)
+        assert np.array_equal(stats.last_visit, last_visit), (trials, chunk)
+
+
+_F = nl._FOLD_STEPS
+
+
+@pytest.mark.parametrize("epsilon, T, x0", [
+    *((0.5, T, x0) for T in (_F - 1, _F, _F + 1, nl.TILE + _F + 1) for x0 in (0.5, 0.0)),
+    (0.7, 400, 0.0), (0.7, 400, 0.4)])
+def test_visit_folds_equal_engine_batches(epsilon, T, x0):
+    # last visits are folded per block of _FOLD_STEPS steps: horizons ending
+    # just before, at and just after a block, and one block past a tile; a
+    # start inside S, where last_visit begins at 0; 75 trials in chunks of
+    # 40, so the last chunk re-keys only part of the pool.  At epsilon 0.7,
+    # T = 400 a path that reaches the clipped end D/2 keeps off the lattice
+    # points of S for good: from 0 some last visits stay 0, and from 0.4
+    # some paths never reach S
+    inst = abs_instance(epsilon)
+    stats = nl.simulate_paths(inst, T, 75, x0, seed=5, chunk=40)
+    final_x, last_visit = reference_paths(inst, T, 75, x0, seed=5, chunk=40)
+    assert stats.final_x.tobytes() == final_x.tobytes()
+    assert stats.last_visit.tobytes() == last_visit.tobytes()
+    if x0 == 0.0:
+        assert np.all(stats.last_visit >= 0)
+    if epsilon == 0.7:
+        assert (0 in stats.last_visit) == (x0 == 0.0)
+        assert (0 < stats.never_hit_count < 75) == (x0 == 0.4)
 
 
 def test_paths_are_reproducible_and_chunk_independent():

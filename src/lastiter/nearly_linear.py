@@ -25,12 +25,15 @@ do not run through the engine: :func:`transition_table` lists the floats a
 path from x0 can reach in T steps, each with its two successors (computed by
 the engine's own ``Interval.project(x - eta*g)``), its P[+G] and its
 good-set membership, and :func:`simulate_paths` steps a chunk of trials at
-a time as integer state indices through that table, folding good-set visits
-into last visit times per block of steps.  Every trial owns a
-counter-based Philox stream keyed by (seed, trial index), drawn at most
-``TILE`` steps at a time, so results are independent of batch size and
-trial order, and memory is O(chunk x TILE) plus the table whatever the
-horizon.  A call builds one pool of streams and re-keys it for each chunk
+a time as integer state indices through tables composed from it, several
+steps per lookup.  A uniform u enters only through its level code, the
+number of distinct P[+G] values at or below u: ``u < P[+G](s)`` exactly
+when that code is at most the rank of P[+G](s) among those values, so L
+steps are one lookup of the state and the L codes combined.  Every trial
+owns a counter-based Philox stream keyed by (seed, trial index), drawn
+``_DRAW_STEPS`` steps at a time, so results are independent of batch size and
+trial order, and memory is O(chunk) plus the tables whatever the horizon.
+A call builds one pool of streams and re-keys it for each chunk
 (:func:`_rekey`, beside :func:`trial_stream`).  One path pushed through the
 engine by :func:`path_via_engine` reproduces the batched path bit for bit
 (see tests).
@@ -53,20 +56,39 @@ _BAND_TOL = 1e-12
 #: hits a tail bin needs to enter the decay fit
 _FIT_MIN_HITS = 10
 
-#: most steps of uniforms drawn from each trial's stream at a time: a batch
-#: holds them as one (TILE, B) tile, 8 MB at B = 2048, draws no more rows
-#: than it has steps left, and step t reads its B uniforms as one contiguous
-#: row of it, then writes the B next state ids over that row
+#: uniforms the one-path oracle (:class:`TwoPointOracle`) draws from its
+#: stream at a time: one ``random()`` call per TILE steps
 TILE = 500
 
-#: most steps whose good-set visits are folded into the last visit times at
-#: once, from a (_FOLD_STEPS, B) bool block; step numbers within a block
-#: fit a uint8
-_FOLD_STEPS = 64
-_STEP_NUMBERS = np.arange(1, _FOLD_STEPS + 1, dtype=np.uint8)[:, None]
+#: most entries n C^L of a composed step table, for n states and C level
+#: codes per step (see :func:`_lookahead`): its next states and its
+#: last-visit offsets (both 8 bytes) then take at most 2 MB
+_TABLE_ENTRIES = 2 ** 17
+
+#: last-visit offset of a table entry whose steps visit no good-set state:
+#: so negative that t + _NO_VISIT stays below every last visit time
+_NO_VISIT = -2 ** 62
+
+#: most distinct P[+G] values whose level codes are counted with one
+#: comparison per level (about 0.26 ns per level and uniform); the codes of
+#: more are read through _CODE_BINS bins of [0, 1), at about 2.6 ns per
+#: uniform however many levels there are (see :func:`_level_codes`).
+#: End to end, ``simulate_paths`` ran faster with comparisons at 12 levels
+#: and with the bins at 16
+_COMPARE_LEVELS = 12
+
+#: bins of [0, 1) that give the level codes of many levels
+_CODE_BINS = 2 ** 12
+
+#: steps per refill, rounded down to a multiple of L: each stream draws
+#: that many uniforms at a time, no more than the steps left, and a batch
+#: holds their combined codes as one (_DRAW_STEPS // L, B) block,
+#: lookup-major.  Calls of 1536 doubles draw at about 5.4 ns per double,
+#: 256 at 8.2 ns
+_DRAW_STEPS = 1536
 
 #: streams drawn into the scratch block at a time when a batch refills its
-#: tile; the block, (_FILL_STREAMS, TILE) at most, is then copied in transposed
+#: block of codes; their codes are combined there and copied in transposed
 _FILL_STREAMS = 32
 
 #: fewest trials for a stable mean; callers check it before simulating
@@ -397,38 +419,47 @@ def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
     """Run ``trials`` independent paths of T steps from x0 and collect
     final suboptimalities and last good-set visit times.
 
-    Each chunk of trials steps as one batch of state ids through the
-    :func:`transition_table` of (inst, T, x0), four numpy calls per step: a
-    lookup of P[+G], the comparison with the step's uniforms, the add that
-    picks the successor's slot, and the lookup of the next state, which is
-    written over the tile row of uniforms the step has just read.  After
-    each block of at most ``_FOLD_STEPS`` steps those rows of state ids are
-    folded into the last visit times at once.  One pool of at most
-    ``min(chunk, trials)`` streams is built per call, and each later chunk
-    re-keys it in place (:func:`_rekey`).  Only the state ids, the last
-    visit times, one tile of at most TILE uniforms per trial and the
-    (``_FOLD_STEPS``, chunk) block of visits are held, so memory is
-    O(chunk x TILE) plus the table.  Trial r gives the same path, bit for
-    bit, as ``path_via_engine(inst, T, x0, seed, trial=r)``.  Visits are
-    decided by ``good_set(inst, T).contains``, which agrees with
-    ``f(x) <= threshold``.
+    Each chunk of trials steps as one batch of state ids through tables
+    composed from the :func:`transition_table` of (inst, T, x0), L steps
+    per lookup (:func:`_lookahead`; the last T mod L steps use a table of
+    their own).  A lookup is one add of the L steps' combined level codes
+    to the state ids and two ``take`` calls, one for the states L steps on
+    and one for the offset of the last good-set state among them, which
+    one add of the step number and one ``maximum`` turn into last visit
+    times.  Uniforms are drawn about ``_DRAW_STEPS`` steps at a time from
+    each stream, turned into level codes (:func:`_level_codes`) and
+    combined L at a time as they land (:func:`_draw_codes`), so only the
+    combined codes are held, one per lookup and trial.  One pool of at
+    most ``min(chunk, trials)`` streams is built per call, and each later
+    chunk re-keys it in place (:func:`_rekey`).  Only the state ids, the
+    last visit times, the composed tables of at most ``_TABLE_ENTRIES``
+    entries (more only when a single step's table is larger) and a
+    (``_DRAW_STEPS // L``, chunk) block of combined codes are held, so
+    memory is O(chunk) plus the tables whatever the horizon.
+    Trial r gives the same path, bit for bit, as ``path_via_engine(inst, T,
+    x0, seed, trial=r)``.  Visits are decided by ``good_set(inst,
+    T).contains``, which agrees with ``f(x) <= threshold``.
     """
     if T < 1 or trials < 1:
         raise ValueError("T and trials must be >= 1")
     table = transition_table(inst, T, x0)
-    # state s is held as the id 2s; adding the comparison u < P[+G] gives
-    # 2s + 1 on a +G answer, the slot of its successor, so a step is one
-    # add and one lookup
-    probs = np.repeat(table.plus_probs, 2)
-    nxt = 2 * table.successors.ravel()
-    good = 2 * table.good
+    levels, step = _step_by_code(table)
+    n, C = step.shape
+    L = _lookahead(n, C, T)
+    # state s is held as the id s * C**L; adding the combined code of the
+    # next L steps gives its entry in the composed tables, which hold the
+    # ids L steps on
+    span = C ** L
+    nxt, off = _compose(step, table.good, L, span)
+    tail = T % L
+    tail_nxt, tail_off = _compose(step, table.good, tail, span)
 
-    width, rows = min(chunk, trials), min(TILE, T)
-    tile = np.empty((rows, width))
-    scratch = np.empty((min(width, _FILL_STREAMS), rows))
-    visits = np.empty((min(_FOLD_STEPS, rows), width), dtype=bool)
-    p, up = np.empty(width), np.empty(width, dtype=bool)
+    width, steps = min(chunk, trials), min(_DRAW_STEPS // L * L, T)
+    block = np.empty((-(-steps // L), width), dtype=np.min_scalar_type(span - 1))
+    scratch = np.empty((min(width, _FILL_STREAMS), steps))
+    count = _level_codes(levels, scratch.size)
     ids, slots = np.empty(width, dtype=np.intp), np.empty(width, dtype=np.intp)
+    visits = np.empty(width, dtype=np.int64)
     final_x = np.empty(trials)
     last_visit = np.full(trials, -1, dtype=np.int64)
     streams = [trial_stream(seed, r) for r in range(width)]
@@ -438,29 +469,22 @@ def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
         if start:
             for stream, r in zip(streams, range(start, stop)):
                 _rekey(stream, seed, r)
-        k, sb, pb, ub = ids[:b], slots[:b], p[:b], up[:b]
-        k.fill(2 * table.start)
+        k = ids[:b]
+        k.fill(table.start * span)
+        bufs = k, slots[:b], visits[:b]
         last = last_visit[start:stop]  # a view: the loop fills last_visit
         if table.start < table.good:
             last.fill(0)
-        for t0 in range(0, T, rows):
-            block = tile[:min(rows, T - t0), :b]
-            _draw(streams[:b], block, scratch)
-            # step t writes the state ids of x_t over row t - t0 - 1, whose
-            # uniforms it has just read
-            states = block.view(np.intp)
-            for f0 in range(0, len(block), _FOLD_STEPS):
-                fold = states[f0:f0 + _FOLD_STEPS]
-                for u, row in zip(block[f0:f0 + _FOLD_STEPS], fold):
-                    probs.take(k, out=pb, mode="clip")
-                    np.less(u, pb, out=ub)
-                    np.add(k, ub, out=sb)
-                    nxt.take(sb, out=row, mode="clip")
-                    k = row
-                _fold_visits(fold, good, visits, t0 + f0, last)
-            k = ids[:b]
-            k[:] = row      # before the next refill overwrites the row
-        final_x[start:stop] = table.values.take(k >> 1)
+        for t0 in range(0, T, steps):
+            drawn = min(steps, T - t0)
+            rows = block[:-(-drawn // L), :b]
+            _draw_codes(streams[:b], count, C, L, rows, scratch[:, :drawn])
+            for t, row in zip(range(t0, T, L), rows[:drawn // L]):
+                _advance(row, nxt, off, t, last, *bufs)
+        if tail:    # the last row of the last draw combines tail codes
+            k //= C ** (L - tail)
+            _advance(rows[-1], tail_nxt, tail_off, T - tail, last, *bufs)
+        final_x[start:stop] = table.values.take(k // span)
     del streams     # the pool is not held while f is evaluated
 
     return PathStats(
@@ -469,38 +493,137 @@ def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
         final_subopt=np.asarray(inst.f(final_x)), last_visit=last_visit)
 
 
-def _fold_visits(states: np.ndarray, good: int, visits: np.ndarray, t0: int,
-                 last: np.ndarray) -> None:
-    """Set ``last[j]`` to t0 + i + 1 for the last row i of the (n, B) state
-    ids whose column j is a good-set id (below ``good``), where some row is.
-
-    Row i is weighted by its step number i + 1 in the block and the rows
-    are reduced by ``max``: the step of the last visit, or 0 for none.  A
-    reverse ``argmax`` down each column gives the same, but numpy computes
-    it through a transposed copy of the block, where ``max`` reduces rows
-    in place."""
-    n = len(states)
-    hit = visits[:n, :states.shape[1]]
-    np.less(states, good, out=hit)
-    step = hit.view(np.uint8)
-    np.multiply(step, _STEP_NUMBERS[:n], out=step)
-    top = np.maximum.reduce(step, axis=0)
-    np.putmask(last, top, top.astype(np.int64) + t0)
+def _advance(codes, nxt, off, t, last, ids, slots, visits) -> None:
+    """One lookup from step t: move the state ids to the entries ``nxt``
+    gives for their combined ``codes`` and raise ``last`` to t plus the
+    entry's ``off``, which is ``_NO_VISIT`` when its steps visit no
+    good-set state."""
+    np.add(ids, codes, out=slots)
+    nxt.take(slots, out=ids, mode="clip")
+    off.take(slots, out=visits, mode="clip")
+    visits += t
+    np.maximum(last, visits, out=last)
 
 
-def _draw(streams, block: np.ndarray, scratch: np.ndarray) -> None:
-    """The next ``len(block)`` uniforms of stream j into column j of the
-    (steps, B) block: ``_FILL_STREAMS`` streams at a time are drawn into
-    rows of the scratch block, which is then copied in transposed, so a
-    step's uniforms are one contiguous row.  A stream's sequence does not
-    depend on how its draws are split."""
-    steps = block.shape[0]
+def _step_by_code(table: TransitionTable) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct P[+G] values q_0 < ... < q_{m-1} of a table, and its
+    (n, m + 1) successors by level code.
+
+    The code of a uniform u is c(u) = #{j : q_j <= u}.  For a state whose
+    P[+G] is q_i, ``u < q_i`` holds exactly when c(u) <= i, with no
+    tolerance, so code c leads from state s to ``successors[s, c <= i]``;
+    a uniform equal to q_i answers -G, as ``u < q_i`` does."""
+    levels = np.unique(table.plus_probs)
+    rank = np.searchsorted(levels, table.plus_probs)
+    up = np.arange(levels.size + 1) <= rank[:, None]
+    return levels, np.where(up, table.successors[:, 1:], table.successors[:, :1])
+
+
+def _lookahead(n: int, C: int, T: int) -> int:
+    """Steps L per lookup for n states, C level codes per step and T steps:
+    the most, up to T, whose composed table of n C^L entries fits
+    ``_TABLE_ENTRIES``, and 1 when none does."""
+    L = 1
+    while L < T and n * C ** (L + 1) <= _TABLE_ENTRIES:
+        L += 1
+    return L
+
+
+def _level_codes(levels: np.ndarray, size: int):
+    """A function ``count(u, out)`` that writes the level code c(u) = #{j :
+    q_j <= u} of each uniform u in [0, 1) to ``out``, for the distinct
+    P[+G] values q_0 < ... < q_{m-1} and arrays u of at most ``size``
+    uniforms.
+
+    Up to ``_COMPARE_LEVELS`` levels are counted with one comparison each.
+    More are read through K = ``_CODE_BINS`` bins: u lies in bin b =
+    floor(u K), exactly, since K is a power of two; ``below[b]`` counts the
+    levels under b / K, and column b of ``inside`` holds the levels in
+    [b / K, (b + 1) / K), padded with 2.0, so c(u) is ``below[b]`` plus the
+    entries of that column at or below u.  A level 1.0 is below no u.
+    The bins and the levels read for them go to buffers held by ``count``:
+    arrays of this size allocated anew on every call cost more than the
+    count itself."""
+    if levels.size <= _COMPARE_LEVELS:
+        def count(u, out):
+            np.greater_equal(u, levels[0], out=out)
+            for q in levels[1:]:
+                out += u >= q
+        return count
+
+    K = _CODE_BINS
+    below = np.searchsorted(levels, np.arange(K) / K)
+    at = (levels * K).astype(np.intp)       # bin of each level, K for 1.0
+    depth = np.arange(levels.size) - np.searchsorted(at, at)
+    inside = np.full((depth.max() + 1, K + 1), 2.0)
+    inside[depth, at] = levels
+    bins, level = np.empty(size, dtype=np.intp), np.empty(size)
+
+    def count(u, out):
+        b = bins[:u.size].reshape(u.shape)
+        q = level[:u.size].reshape(u.shape)
+        np.multiply(u, K, out=b, casting="unsafe")
+        below.take(b, out=out, mode="clip")
+        for row in inside[:, :K]:
+            row.take(b, out=q, mode="clip")
+            out += u >= q
+    return count
+
+
+def _compose(step: np.ndarray, good: int, steps: int, scale: int):
+    """Tables of ``steps`` steps at once from the (n, C) one-step table of
+    :func:`_step_by_code`, flat, entry s * C**steps + K for the codes c_1 ..
+    c_steps of the steps in order, K = sum c_i C**(steps - i): the state
+    reached, times ``scale``, and the last i whose state lies in the good
+    set (below ``good``), or ``_NO_VISIT`` if none does."""
+    n, C = step.shape
+    nxt = np.arange(n)[:, None]
+    off = np.full((n, 1), _NO_VISIT, dtype=np.int64)
+    for i in range(1, steps + 1):
+        nxt = step[nxt]         # (n, C**(i-1), C): code c_i last
+        off = np.where(nxt < good, i, off[:, :, None]).reshape(n, -1)
+        nxt = nxt.reshape(n, -1)
+    nxt *= scale
+    return nxt.ravel(), off.ravel()
+
+
+def _draw_codes(streams, count, C: int, L: int, block: np.ndarray,
+                scratch: np.ndarray) -> None:
+    """The next ``scratch.shape[1]`` uniforms of stream j, as combined
+    level codes, into column j of the block: row i holds sum c_l C**(L-1-l)
+    over the codes c_0 .. c_{L-1} of steps iL .. iL+L-1, and a last row of
+    fewer than L steps combines those.
+
+    ``_FILL_STREAMS`` streams at a time are drawn into rows of the scratch
+    block; their codes (``count``, from :func:`_level_codes`) are counted
+    there and combined L at a time in exact integer arithmetic, and only
+    the combined codes are copied in transposed, so a lookup's codes are
+    one contiguous row.  A stream's sequence does not depend on how its
+    draws are split."""
+    steps = scratch.shape[1]
+    lookups = steps // L
     for s in range(0, len(streams), _FILL_STREAMS):
         group = streams[s:s + _FILL_STREAMS]
-        fill = scratch[:len(group), :steps]
+        fill = scratch[:len(group)]
         for stream, row in zip(group, fill):
             stream.random(out=row)
-        block[:, s:s + len(group)] = fill.T
+        code = np.empty(fill.shape, dtype=block.dtype)
+        count(fill, code)
+        combined = np.empty((len(group), len(block)), dtype=block.dtype)
+        _combine(code[:, :lookups * L].reshape(len(group), lookups, L), C,
+                 combined[:, :lookups])
+        if lookups < len(block):
+            _combine(code[:, None, lookups * L:], C, combined[:, lookups:])
+        block[:, s:s + len(group)] = combined.T
+
+
+def _combine(digits: np.ndarray, base: int, out: np.ndarray) -> None:
+    """``out[..., j] = sum_i digits[..., j, i] * base**(d-1-i)`` over the d
+    digits of the last axis, by Horner's rule in out's integer type."""
+    np.copyto(out, digits[..., 0])
+    for i in range(1, digits.shape[-1]):
+        out *= base
+        out += digits[..., i]
 
 
 class TwoPointOracle:

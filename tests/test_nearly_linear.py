@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,15 @@ def multi_knot_instance():
     return nl.build_nearly_linear("piecewise", 2.0, 1.0, 0.4, band_ratio=0.5,
                                   knots=[-0.6, -0.2, 0.3, 0.7],
                                   slopes=[-0.4, -0.3, -0.2, 0.2, 0.3, 0.4])
+
+
+def many_knot_instance():
+    # 23 interior knots (0 included), 24 segments on [-1, 1]: a path of a
+    # few thousand steps meets more than _COMPARE_LEVELS values of P[+G]
+    slopes = [*np.linspace(-0.4, -0.2, 12), *np.linspace(0.2, 0.4, 12)]
+    knots = [*np.linspace(-0.96, 0.0, 13)[1:], *np.linspace(0.0, 0.96, 13)[1:-1]]
+    return nl.build_nearly_linear("piecewise", 2.0, 1.0, 0.4, band_ratio=0.5,
+                                  knots=knots, slopes=slopes)
 
 
 def searchsorted_probs(inst, x):
@@ -249,15 +259,11 @@ def test_one_pool_of_streams_per_call(monkeypatch):
         assert np.array_equal(stats.last_visit, last_visit), (trials, chunk)
 
 
-_F = nl._FOLD_STEPS
-
-
 @pytest.mark.parametrize("epsilon, T, x0", [
-    *((0.5, T, x0) for T in (_F - 1, _F, _F + 1, nl.TILE + _F + 1) for x0 in (0.5, 0.0)),
+    *((0.5, T, x0) for T in (63, 64, 65, 565) for x0 in (0.5, 0.0)),
     (0.7, 400, 0.0), (0.7, 400, 0.4)])
 def test_visit_folds_equal_engine_batches(epsilon, T, x0):
-    # last visits are folded per block of _FOLD_STEPS steps: horizons ending
-    # just before, at and just after a block, and one block past a tile; a
+    # last visits at horizons around 64 steps and one past 500; a
     # start inside S, where last_visit begins at 0; 75 trials in chunks of
     # 40, so the last chunk re-keys only part of the pool.  At epsilon 0.7,
     # T = 400 a path that reaches the clipped end D/2 keeps off the lattice
@@ -294,11 +300,12 @@ def test_single_vectorized_path_equals_engine_path():
 
 
 def test_batched_paths_cross_tiles_like_engine_paths():
-    # horizons ending just before, at and just after a tile of uniforms, and
-    # one spanning several; 75 trials in chunks of 40 fill each tile in
-    # blocks of 32 streams and a partial one.  Each path answers step t with
-    # the t-th uniform of its own (seed, trial) stream, on one interior knot
-    # and on five, and the batch agrees with the f-membership loop
+    # horizons ending just before, at and just after a tile of the one-path
+    # oracle's uniforms, and one spanning several; 75 trials in chunks of 40
+    # fill each block of codes in groups of 32 streams and a partial one.
+    # Each path answers step t with the t-th uniform of its own (seed,
+    # trial) stream, on one interior knot and on five, and the batch agrees
+    # with the f-membership loop
     trials, chunk = 75, 40
     assert trials % nl._FILL_STREAMS and trials % chunk and chunk % nl._FILL_STREAMS
     for T in (nl.TILE - 1, nl.TILE, nl.TILE + 1, 2 * nl.TILE + 37):
@@ -340,12 +347,176 @@ def reference_paths(inst, T, trials, x0, seed, chunk):
     return final_x, last_visit
 
 
-@pytest.mark.parametrize("make", [abs_instance, asym_abs_instance, multi_knot_instance],
-                         ids=["abs", "asym_abs", "piecewise"])
+def lookahead(inst, T, x0):
+    """The transition table of (inst, T, x0), its levels and one-step
+    successors by code, and the steps per lookup simulate_paths takes."""
+    table = nl.transition_table(inst, T, x0)
+    levels, step = nl._step_by_code(table)
+    return table, levels, step, nl._lookahead(*step.shape, T)
+
+
+class GivenUniforms:
+    """A stand-in stream whose ``random(out=row)`` hands out given uniforms
+    in order."""
+
+    def __init__(self, uniforms):
+        self._u, self._at = np.asarray(uniforms, dtype=float), 0
+
+    def random(self, out):
+        out[:] = self._u[self._at:self._at + out.size]
+        self._at += out.size
+
+
+def given_codes(levels, u):
+    """The level codes _draw_codes gives the uniforms u, one step each."""
+    codes = np.empty((len(u), 1), dtype=np.uint16)
+    nl._draw_codes([GivenUniforms(u)], nl._level_codes(levels, len(u)), levels.size + 1, 1,
+                   codes, np.empty((1, len(u))))
+    return codes[:, 0]
+
+
+#: forces counting by comparisons, or through the bins of [0, 1)
+COUNTS = pytest.mark.parametrize("compare_levels", [10 ** 6, 0], ids=["compare", "bins"])
+
+
+@COUNTS
+@pytest.mark.parametrize("make, T, x0", [
+    (abs_instance, 400, 0.5), (asym_abs_instance, 400, 0.5), (multi_knot_instance, 400, 0.7),
+    (many_knot_instance, 2500, 0.7), (lambda: abs_instance(1.0), 400, 0.0)],
+    ids=["abs", "asym_abs", "piecewise", "many", "eps1"])
+def test_level_codes_answer_like_uniforms(make, T, x0, compare_levels, monkeypatch):
+    # at each level itself, at its float neighbours, at the bin edges and at
+    # 0.0 and 1 - 2^-53, the code _draw_codes gives a uniform leads every
+    # state where the answer +G on u < P[+G] leads it, with no tolerance: a
+    # uniform equal to a level answers -G.  At epsilon 1 the levels are 0
+    # and 1, and every uniform has code 1
+    monkeypatch.setattr(nl, "_COMPARE_LEVELS", compare_levels)
+    table, levels, step, _ = lookahead(make(), T, x0)
+    assert np.array_equal(levels, np.unique(table.plus_probs))
+    edges = np.arange(1, nl._CODE_BINS) / nl._CODE_BINS
+    u = np.concatenate([[0.0, 1.0 - 2.0 ** -53], levels, np.nextafter(levels, 0.0),
+                        np.nextafter(levels, 1.0), edges, np.nextafter(edges, 0.0)])
+    u = u[u < 1.0]
+    codes = given_codes(levels, u)
+    assert np.array_equal(codes, [np.count_nonzero(levels <= v) for v in u])
+    answers = (u[:, None] < table.plus_probs).astype(np.intp)
+    assert np.array_equal(step[:, codes].T,
+                          table.successors[np.arange(table.values.size), answers])
+    if levels.tolist() == [0.0, 1.0]:
+        assert set(codes.tolist()) == {1}
+
+
+@COUNTS
+def test_level_codes_of_crowded_levels(compare_levels, monkeypatch):
+    # five levels inside one bin, a level on a bin edge and one just below
+    # it, 0 and 1 among 40 levels: the codes count the levels at or below u
+    # wherever u falls
+    monkeypatch.setattr(nl, "_COMPARE_LEVELS", compare_levels)
+    rng = np.random.default_rng(3)
+    edge = 3.0 / nl._CODE_BINS
+    levels = np.unique(np.concatenate([
+        [0.0, 1.0, edge, np.nextafter(edge, 0.0)], 0.5 + 2.0 ** -45 * np.arange(5),
+        rng.random(31)]))
+    assert levels.size == 40
+    u = np.concatenate([[0.0, 1.0 - 2.0 ** -53], levels[:-1], np.nextafter(levels, 0.0)[1:],
+                        np.nextafter(levels, 1.0)[:-1], rng.random(10000)])
+    assert np.array_equal(given_codes(levels, u), np.searchsorted(levels, u, side="right"))
+
+
+@pytest.mark.parametrize("make, T, x0, L", [
+    (abs_instance, 400, 0.5, 8), (asym_abs_instance, 400, 0.5, 8),
+    (multi_knot_instance, 400, 0.7, 4), (many_knot_instance, 2500, 0.7, 2)],
+    ids=["abs", "asym_abs", "piecewise", "many"])
+def test_composed_tables_equal_single_steps(make, T, x0, L):
+    # every state and every sequence of codes, for each number of steps up
+    # to L: the composed tables give the state that single steps through the
+    # table's successors reach, each answering +G when the least uniform of
+    # its code lies below P[+G], and the offset of the last good-set state
+    # on the way.  Six levels on the piecewise instance make L drop to 4,
+    # twenty-five on the many-knot one to 2
+    table, levels, step, lookahead_steps = lookahead(make(), T, x0)
+    assert lookahead_steps == L
+    n, C = step.shape
+    least = np.concatenate([[0.0], levels])     # the least uniform of each code
+    for steps in range(1, L + 1):
+        nxt, off = nl._compose(step, table.good, steps, C ** L)
+        entry = np.arange(n * C ** steps)
+        s = entry // C ** steps
+        last = np.full(entry.size, nl._NO_VISIT, dtype=np.int64)
+        for i in range(1, steps + 1):
+            code = entry // C ** (steps - i) % C
+            s = table.successors[s, (least[code] < table.plus_probs[s]).astype(np.intp)]
+            last[s < table.good] = i
+        assert np.array_equal(nxt, s * C ** L), steps
+        assert np.array_equal(off, last), steps
+
+
+_DRAW = nl._DRAW_STEPS
+
+
+@pytest.mark.parametrize("make, T, x0, L", [
+    (abs_instance, 9, 0.5, 9), (abs_instance, 10, 0.5, 10), (abs_instance, 11, 0.5, 10),
+    *((abs_instance, _DRAW // 7 * 7 + dT, 0.5, 7) for dT in (-1, 0, 1)),
+    (abs_instance, 2000, 0.5, 7),
+    *((multi_knot_instance, _DRAW // 4 * 4 + dT, 0.7, 4) for dT in (-1, 0, 1)),
+    (multi_knot_instance, 2001, 0.7, 4),
+    (many_knot_instance, 2501, 0.7, 2)])
+def test_lookahead_paths_equal_engine_batches(make, T, x0, L):
+    # horizons of 9 and 10 steps, each one lookup of all T steps, and of 11,
+    # where the table budget stops L at 10 and a tail of one step follows;
+    # horizons ending just before, at and just after the first draw of
+    # _DRAW_STEPS // L * L uniforms; and ones spanning two draws that end
+    # in a tail, the last with codes read through the bins.  75 trials in
+    # chunks of 40, compared as bytes
+    inst = make()
+    assert lookahead(inst, T, x0)[3] == L
+    draw = _DRAW // L * L
+    if T > 11:
+        assert abs(T - draw) <= 1 or (draw < T < 2 * draw and T % L)
+    stats = nl.simulate_paths(inst, T, 75, x0, seed=5, chunk=40)
+    final_x, last_visit = reference_paths(inst, T, 75, x0, seed=5, chunk=40)
+    assert stats.final_x.tobytes() == final_x.tobytes()
+    assert stats.last_visit.tobytes() == last_visit.tobytes()
+    assert stats.final_subopt.tobytes() == inst.f(final_x).tobytes()
+
+
+@pytest.mark.parametrize("make, x0", [(abs_instance, 0.5), (many_knot_instance, 0.7)],
+                         ids=["abs", "many"])
+def test_single_step_lookups_equal_engine_batches(make, x0, monkeypatch):
+    # a table budget of one entry leaves L = 1, as a large or many-level
+    # table does: one step per lookup over two draws, compared as bytes
+    monkeypatch.setattr(nl, "_TABLE_ENTRIES", 1)
+    inst, T = make(), _DRAW + 1
+    assert lookahead(inst, T, x0)[3] == 1
+    stats = nl.simulate_paths(inst, T, 75, x0, seed=5, chunk=40)
+    final_x, last_visit = reference_paths(inst, T, 75, x0, seed=5, chunk=40)
+    assert stats.final_x.tobytes() == final_x.tobytes()
+    assert stats.last_visit.tobytes() == last_visit.tobytes()
+
+
+def test_batch_memory_is_under_half_a_float_tile():
+    # a chunk of 2048 trials holds one block of combined codes, not a
+    # (500, 2048) tile of float uniforms (8 MB): the tracemalloc peak of the
+    # whole call, table, tables and stream pool included, stays under 4 MB
+    inst = abs_instance()
+    nl.simulate_paths(inst, 50, 2, 0.5)     # types and caches made on first use
+    tracemalloc.start()
+    try:
+        nl.simulate_paths(inst, 2560, 2048, 0.5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500 * 2048 * 8 / 2, peak
+
+
+@pytest.mark.parametrize("make", [abs_instance, asym_abs_instance, multi_knot_instance,
+                                  lambda: abs_instance(1.0)],
+                         ids=["abs", "asym_abs", "piecewise", "eps1"])
 def test_table_paths_equal_engine_batches_bit_for_bit(make):
     # starts at -0.0, at each domain end and off the lattice, for one step
     # and for 256, in chunks that split the trials; compared as bytes, since
-    # np.array_equal does not tell -0.0 from +0.0
+    # np.array_equal does not tell -0.0 from +0.0.  At epsilon 1 the levels
+    # are 0 and 1 and every uniform has the one code 1
     inst = make()
     trials, chunk = 500, 200
     for x0 in (-0.0, inst.lo, inst.hi, 0.1234567 * inst.diameter):

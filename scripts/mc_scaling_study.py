@@ -9,7 +9,8 @@ close to 1 degenerates the two-point oracle toward a deterministic zigzag.
 
 Exit status: 0 on success, 2 with one error line for an input the study
 cannot serve (a bad horizon list, epsilon outside (0, 1], fewer than 100
-trials, an unwritable --out, too many trials for memory).
+trials, a seed outside [0, 2^64), an unwritable --out, too many trials for
+memory).
 
 Usage:
     python scripts/mc_scaling_study.py --epsilon 0.5 --trials 10000
@@ -60,6 +61,7 @@ def study(args) -> int:
     x0 = args.x0 if args.x0 is not None else inst.hi
     if args.trials < nl.MIN_TRIALS:
         raise ValueError(f"need at least {nl.MIN_TRIALS} trials for a stable mean")
+    nl.trial_stream(args.seed, 0)   # a seed outside [0, 2^64) fails before any row
     rows = []
     print(f"{'T':>6} {'mean':>12} {'mean*sqrtT':>12} {'se':>10} {'never':>6} {'rate':>8}")
     for T in args.horizons:

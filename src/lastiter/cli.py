@@ -244,7 +244,7 @@ def cmd_sweep(args) -> int:
     for family, d, T, _ in jobs:
         cons.build_instance(family, d, T)
     if args.jobs > 1:
-        results = _pool_sweep(jobs, args.jobs)
+        results = _pool_sweep(jobs, min(args.jobs, len(jobs)))
     else:
         results = [_sweep_point(j) for j in jobs]
 

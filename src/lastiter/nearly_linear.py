@@ -10,10 +10,9 @@ unbiased, and outside the good set
 
 the mean magnitude |s(x)| stays inside the band [c eps G, eps G], which is
 what "nearly linear" means here.  Paths use the fixed step eta = 4D/(G sqrt(T)).
-:func:`good_set` returns S as the exact float interval on which the computed
-f is at most the threshold, and :meth:`GoodSet.contains` is the one
-membership rule: two comparisons, equal to ``f(x) <= threshold`` at every
-float of the domain.
+:func:`good_set` returns S, and :meth:`GoodSet.contains` is the one
+membership rule, the definition itself: ``f(x) <= threshold``.  It is
+decided once per reachable float, when :func:`transition_table` lists them.
 
 An instance holds one table of P[+G] per segment, ``segment_probs``, which
 :class:`NearlyLinearOracle` hands with the interior knots to
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -201,85 +199,23 @@ def build_nearly_linear(shape: str, diameter: float, grad_bound: float,
 
 @dataclass(frozen=True)
 class GoodSet:
-    """The floats x of the domain with computed ``f(x) <= threshold``: the
-    closed interval [left, right], both ends exact (see :func:`good_set`)."""
+    """The good set S = {x : f(x) <= threshold} of an instance at a horizon
+    (see :func:`good_set`)."""
 
-    left: float
-    right: float
+    inst: NearlyLinearInstance = field(repr=False, compare=False)
     threshold: float
 
     def contains(self, x):
-        """Membership of x in the good set, elementwise.
-
-        Equals ``inst.f(x) <= threshold`` for every float x in the domain of
-        the instance the set was built from (for the one rounding caveat see
-        :func:`good_set`): the one membership rule."""
-        return (x >= self.left) & (x <= self.right)
-
-
-_DOUBLE = struct.Struct("<d")
-_INT64 = struct.Struct("<q")
-
-
-def _ordinal(a: float) -> int:
-    """Position of a float a >= 0 in the ordered floats (+0.0 is 0)."""
-    return _INT64.unpack(_DOUBLE.pack(a))[0]
-
-
-def _from_ordinal(n: int) -> float:
-    return _DOUBLE.unpack(_INT64.pack(n))[0]
+        """Membership of x in the good set, elementwise: the one membership
+        rule, ``inst.f(x) <= threshold``."""
+        return self.inst.f(x) <= self.threshold
 
 
 def good_set(inst: NearlyLinearInstance, T: int) -> GoodSet:
-    """Sublevel interval at threshold G D / sqrt(T), exact in floats.
-
-    ``np.interp`` computes f on a segment as ``s * (x - x_k) + f_k``, which
-    is monotone in x, and gives the knot values exactly at the knots.  Along
-    each branch from 0 the knot values rise, so the floats with computed
-    ``f <= threshold`` end on the segment whose inner knot is the last one
-    at or below the threshold (or at the domain end), and each endpoint is
-    the last float of that segment, counted from 0, with ``f <= threshold``.
-    It is found by bisection over the float ordinals of |x| from the
-    segment's inner knot (inside) to its outer knot (outside): at most 63
-    evaluations of f, where a float-by-float walk could take 10^14 (rounding
-    near a far knot on the left branch).  The next float outward leaves the
-    domain or has ``f > threshold``.
-
-    At an interior knot np.interp switches segments, and its rounding can
-    put the float next to the knot an ulp out of order with the knot value
-    (1 of 21000 knots of random piecewise instances).  Only a threshold
-    within that ulp of such a knot value would make the floats with
-    ``f <= threshold`` no interval; the tests check that this does not
-    happen on the instances and horizons they use.
-    """
+    """The good set of ``inst`` at horizon T: threshold G D / sqrt(T)."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    theta = inst.grad_bound * inst.diameter / math.sqrt(T)
-    z = int(np.searchsorted(inst.knots, 0.0))  # knots[z] == 0
-
-    def end(knots, values) -> float:
-        # branch knots from 0 outward, f rising from 0
-        k = int(np.searchsorted(values, theta, side="right")) - 1  # last knot with f <= theta
-        if k == len(knots) - 1:
-            return float(knots[k])
-        sign = math.copysign(1.0, knots[k + 1])
-
-        def inside(n: int) -> bool:
-            return inst.f(sign * _from_ordinal(n)) <= theta
-
-        # invariant: inside(lo) and not inside(hi), ordinals of |x|
-        lo, hi = _ordinal(abs(knots[k])), _ordinal(abs(knots[k + 1]))
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if inside(mid):
-                lo = mid
-            else:
-                hi = mid
-        return sign * _from_ordinal(lo)
-
-    right = end(inst.knots[z:], inst.knot_values[z:])
-    left = end(inst.knots[z::-1], inst.knot_values[z::-1])
-    return GoodSet(left=left, right=right, threshold=theta)
+    return GoodSet(inst=inst, threshold=inst.grad_bound * inst.diameter / math.sqrt(T))
 
 
 @dataclass
@@ -303,7 +239,10 @@ class PathStats:
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
     """Counter-based stream for one trial: Philox keyed by (seed, trial),
-    counter 0."""
+    counter 0.  ValueError when seed or trial lies outside [0, 2^64)."""
+    for name, word in (("seed", seed), ("trial", trial)):
+        if not 0 <= word < 2 ** 64:
+            raise ValueError(f"{name} must lie in [0, 2^64), got {word}")
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_philox_key_type()(key)))
 
@@ -374,7 +313,8 @@ def transition_table(inst: NearlyLinearInstance, T: int, x0: float) -> Transitio
     g = -G and +G, so they carry its rounding and its signed zeros (x0 =
     -0.0 and +0.0 are two states); states are keyed by their bits, not by
     float equality.  P[+G] comes from :meth:`TwoPointOracle.plus_prob` and
-    membership from ``good_set(inst, T).contains``.  A clipped walk with
+    membership from ``good_set(inst, T).contains``, ``f(x) <= threshold``,
+    with one call of f for all states.  A clipped walk with
     step eta*G visits O(sqrt(T)) floats: the tests bound them by
     16 (sqrt(T)/4 + 1) up to T = 10^8."""
     if T < 1:
@@ -437,8 +377,8 @@ def simulate_paths(inst: NearlyLinearInstance, T: int, trials: int, x0: float,
     (``_DRAW_STEPS // L``, chunk) block of combined codes are held, so
     memory is O(chunk) plus the tables whatever the horizon.
     Trial r gives the same path, bit for bit, as ``path_via_engine(inst, T,
-    x0, seed, trial=r)``.  Visits are decided by ``good_set(inst,
-    T).contains``, which agrees with ``f(x) <= threshold``.
+    x0, seed, trial=r)``.  A visit is a state with ``f(x) <= threshold``,
+    decided once per state by ``good_set(inst, T).contains``.
     """
     if T < 1 or trials < 1:
         raise ValueError("T and trials must be >= 1")
@@ -636,7 +576,8 @@ class TwoPointOracle:
     is answered in Python floats: a ``bisect_right`` over the cuts and a
     list of TILE uniforms, the doubles of one ``random()`` call per TILE
     steps.  A batch of points is refused.  :meth:`plus_prob` also answers
-    an array of points (:func:`transition_table` reads it)."""
+    an array of points, with one ``searchsorted`` by the same rule
+    (:func:`transition_table` reads it)."""
 
     def __init__(self, cuts, probs, grad_bound: float, stream, f):
         self._cuts = np.asarray(cuts, dtype=float).tolist()
@@ -663,11 +604,7 @@ class TwoPointOracle:
         shaped like x."""
         if x.ndim == 1:
             return self._prob_list[bisect_right(self._cuts, x.item(0))]
-        cuts = self._cuts   # floats compare faster than numpy scalars
-        seg = (x >= cuts[0]).astype(np.intp) if cuts else np.zeros(x.shape, np.intp)
-        for cut in cuts[1:]:
-            seg += x >= cut
-        return self._probs.take(seg)
+        return self._probs.take(np.searchsorted(self._cuts, x, side="right"))
 
     def subgradient(self, x, t: int) -> np.ndarray:
         if x.ndim != 1:

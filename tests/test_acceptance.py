@@ -19,10 +19,10 @@ test_nearly_linear.py::test_degenerate_oracle_at_epsilon_one records these
 properties.
 
 At epsilon = 1/2 the points +/-0.1 lie exactly on the boundary of S, and the
-membership test GoodSet.contains in simulate_paths, which equals the
-closed-set test f(x) <= theta, decides their membership after rounding: an
-iterate that lands on 0.09999999999999998 is inside, one that lands on
--0.10000000000000003 is outside.
+membership test GoodSet.contains, the closed-set test f(x) <= theta that
+simulate_paths applies once per reachable float, decides their membership
+after rounding: an iterate that lands on 0.09999999999999998 is inside, one
+that lands on -0.10000000000000003 is outside.
 """
 
 import math

@@ -4,6 +4,7 @@ import os
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 
 import pytest
 
@@ -252,6 +253,15 @@ def test_mc_checks_kmax_before_simulating(kmax, monkeypatch, capsys):
     assert err[-1] == f"lastiter: error: kmax must be >= 2 for a tail fit, got {kmax}"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_mc_seed_outside_64_bits_is_a_usage_error(seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["mc", "--T", "100", "--trials", "100", "--seed", seed])
+    assert exc.value.code == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error" in l]
+    assert errors == [f"lastiter: error: seed must lie in [0, 2^64), got {seed}"]
+
+
 _STEP = "the fixed step 4D/(G sqrt(T)) is {}, not a finite positive float, for {}"
 
 
@@ -352,6 +362,34 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert run(["sweep", "--family", "lip-fixed", "--d", "1,2,4", "--T", "64,128",
                 "--jobs", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_asks_for_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    # a fork pool starts all of its workers at the first submit; this
+    # executor runs each job inline and records the worker count asked for
+    asked = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    out = tmp_path / "s.csv"
+    assert run(["sweep", "--family", "sc", "--d", "2", "--T", "4,8", "--jobs", "64",
+                "--out", str(out)]) == 0
+    assert asked == [2]
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_config_file_with_flag_override(tmp_path):

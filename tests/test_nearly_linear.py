@@ -119,73 +119,45 @@ def test_good_set_covers_domain_for_shallow_slopes():
     # threshold 0.1 with slope 0.1: the sublevel set is the whole domain
     inst = nl.build_nearly_linear("abs", 1.0, 1.0, 0.1)
     gs = nl.good_set(inst, 100)
-    assert gs.left == inst.lo and gs.right == inst.hi
+    xs = np.concatenate([np.linspace(inst.lo, inst.hi, 1001), [inst.lo, inst.hi, 0.0, -0.0]])
+    assert gs.contains(xs).all()
 
 
 def test_good_set_interval_for_steep_slopes():
     inst = nl.build_nearly_linear("abs", 1.0, 1.0, 1.0)
     gs = nl.good_set(inst, 100)
-    assert gs.left == pytest.approx(-0.1, abs=1e-9)
-    assert gs.right == pytest.approx(0.1, abs=1e-9)
+    assert gs.contains(np.array([-0.1 + 1e-9, 0.1 - 1e-9])).all()
+    assert not gs.contains(np.array([-0.1 - 1e-9, 0.1 + 1e-9])).any()
 
 
 GOOD_SET_HORIZONS = list(range(1, 3000)) + [10 ** e for e in range(4, 31, 2)]
 
 
-def test_good_set_endpoints_are_exact(monkeypatch):
-    # each endpoint is the last float, counted from 0, with computed
-    # f <= threshold, and contains() is the test f(x) <= threshold at the
-    # points where either could change value: knots, endpoints, their
-    # neighbouring floats, +/-0.0 and the domain ends.  The sets of one
-    # instance are built under one patch and checked with one call of f
-    calls = []
-    f = nl.NearlyLinearInstance.f
-
-    def counted_f(self, x):
-        # bisection over ordinals below 2^63 needs at most 2 x 63 calls for
-        # two endpoints; a float-by-float walk needs ~10^14 at abs eps 1,
-        # T = 10^30, so it fails here instead of running on
-        calls.append(1)
-        assert len(calls) <= 126, "good_set walks the floats"
-        return f(self, x)
-
+def test_good_set_membership_is_f_at_most_threshold():
+    # the threshold is G D / sqrt(T), and contains() is the test
+    # f(x) <= threshold at the points where either could change value:
+    # knots, +/-0.0 and the domain ends, each with its neighbouring floats
     for inst in (abs_instance(0.1), abs_instance(0.5), abs_instance(1.0),
                  nl.build_nearly_linear("asym_abs", 1.0, 1.0, 0.5, band_ratio=0.5),
                  multi_knot_instance(), nl.build_nearly_linear("abs", 2.0, 3.0, 0.5)):
-        sets = []
-        with monkeypatch.context() as m:
-            m.setattr(nl.NearlyLinearInstance, "f", counted_f)
-            for T in GOOD_SET_HORIZONS:
-                calls.clear()
-                sets.append(nl.good_set(inst, T))
+        sets = [nl.good_set(inst, T) for T in GOOD_SET_HORIZONS]
         theta = np.array([gs.threshold for gs in sets])[:, None]
         assert np.array_equal(theta[:, 0], [inst.grad_bound * inst.diameter / math.sqrt(T)
                                             for T in GOOD_SET_HORIZONS]), inst.shape
-        # per horizon (one row each): the endpoints, the floats just beyond
-        # them, and the knots, ends, zeros and domain ends with both neighbours
-        ends = np.array([[gs.left, gs.right] for gs in sets])
-        beyond = np.nextafter(ends, [-np.inf, np.inf])
-        xs = np.hstack([np.broadcast_to(inst.knots, (len(sets), inst.knots.size)), ends,
-                        np.broadcast_to([0.0, -0.0, inst.lo, inst.hi], (len(sets), 4))])
-        xs = np.hstack([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)])
-        fx = inst.f(np.hstack([ends, beyond, xs]))
-        f_ends, f_beyond, fx = fx[:, :2], fx[:, 2:4], fx[:, 4:]
-        bad = np.flatnonzero(~np.all(f_ends <= theta, axis=1))
-        assert not bad.size, (inst.shape, [GOOD_SET_HORIZONS[i] for i in bad[:5]])
-        outside = (beyond < inst.lo) | (beyond > inst.hi)
-        bad = np.flatnonzero(~np.all(outside | (f_beyond > theta), axis=1))
-        assert not bad.size, (inst.shape, [GOOD_SET_HORIZONS[i] for i in bad[:5]])
+        xs = np.concatenate([inst.knots, [0.0, -0.0, inst.lo, inst.hi]])
+        xs = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)])
         inside = (xs >= inst.lo) & (xs <= inst.hi)
-        contains = np.array([gs.contains(row) for gs, row in zip(sets, xs)])
-        bad = np.flatnonzero(np.any(inside & (contains != (fx <= theta)), axis=1))
+        contains = np.array([gs.contains(xs) for gs in sets])
+        bad = np.flatnonzero(np.any(inside & (contains != (inst.f(xs) <= theta)), axis=1))
         assert not bad.size, (inst.shape, [GOOD_SET_HORIZONS[i] for i in bad[:5]])
 
 
 def test_good_set_shrinks_with_horizon():
     inst = abs_instance()
-    widths = [nl.good_set(inst, T).right - nl.good_set(inst, T).left
+    xs = np.linspace(inst.lo, inst.hi, 1001)
+    counts = [np.count_nonzero(nl.good_set(inst, T).contains(xs))
               for T in (100, 400, 1600, 6400)]
-    assert all(w2 < w1 for w1, w2 in zip(widths, widths[1:]))
+    assert all(c2 < c1 for c1, c2 in zip(counts, counts[1:]))
 
 
 # ------------------------------------------------------------------- oracle
@@ -214,18 +186,32 @@ def test_oracle_draws_are_bounded_and_unbiased():
 
 def test_trial_stream_is_the_keyed_philox_stream():
     # the documented stream: Philox with key (seed, trial) at counter 0
-    for seed, trial in ((0, 0), (5, 13), (7, 2 ** 40), (2 ** 63, 32767)):
+    for seed, trial in ((0, 0), (5, 13), (7, 2 ** 40), (2 ** 63, 32767),
+                        (2 ** 64 - 1, 2 ** 64 - 1)):
         ref = np.random.Generator(np.random.Philox(
             key=np.array([seed, trial], dtype=np.uint64)))
         draws = nl.trial_stream(seed, trial).random(2 * nl.TILE + 3)
         assert np.array_equal(draws, ref.random(2 * nl.TILE + 3))
 
 
+@pytest.mark.parametrize("seed, trial, message", [
+    (-1, 0, "seed must lie in [0, 2^64), got -1"),
+    (2 ** 64, 0, f"seed must lie in [0, 2^64), got {2 ** 64}"),
+    (0, -1, "trial must lie in [0, 2^64), got -1"),
+    (0, 2 ** 64, f"trial must lie in [0, 2^64), got {2 ** 64}"),
+], ids=["seed-negative", "seed-2^64", "trial-negative", "trial-2^64"])
+def test_trial_stream_key_outside_64_bits_is_a_value_error(seed, trial, message):
+    # numpy would raise OverflowError making the uint64 key
+    with pytest.raises(ValueError) as exc:
+        nl.trial_stream(seed, trial)
+    assert str(exc.value) == message
+
+
 def test_rekeyed_stream_is_a_fresh_trial_stream():
     # a stream left partway through a buffered word (an odd number of
     # doubles, then a uint32 that leaves the other half buffered) and
     # re-keyed draws as a fresh trial_stream of the new key
-    pairs = ((0, 0), (5, 13), (7, 2 ** 40), (2 ** 63, 32767))
+    pairs = ((0, 0), (5, 13), (7, 2 ** 40), (2 ** 63, 32767), (2 ** 64 - 1, 2 ** 64 - 1))
     for (seed, trial), used in zip(pairs, pairs[1:] + pairs[:1]):
         stream = nl.trial_stream(*used)
         stream.random(2 * nl.TILE + 3)
@@ -539,15 +525,15 @@ def test_table_paths_equal_engine_batches_bit_for_bit(make):
 def test_paths_match_membership_by_f(inst, T, x0, chunk):
     # at abs eps 1/2, T = 400 the lattice points +/-0.1 lie on the boundary
     # f = theta, where rounding in x - eta*g decides membership; on the
-    # piecewise instance theta = 0.04 is the knot value f(-0.2), paths end
-    # one float outside either endpoint, and the chunk of 300 splits the
-    # 1000 trials
+    # piecewise instance theta = 0.04 is the knot value f(-0.2), and the
+    # chunk of 300 splits the 1000 trials
     final_x, last_visit = reference_paths(inst, T, 1000, x0, seed=4, chunk=chunk)
     stats = nl.simulate_paths(inst, T, 1000, x0, seed=4, chunk=chunk)
     assert np.array_equal(stats.final_x, final_x)
     assert np.array_equal(stats.last_visit, last_visit)
-    gs = nl.good_set(inst, T)
-    assert np.any(np.minimum(np.abs(final_x - gs.left), np.abs(final_x - gs.right)) < 1e-12)
+    # some paths end within 1e-12 of the boundary f = theta
+    theta = nl.good_set(inst, T).threshold
+    assert np.any(np.abs(inst.f(final_x) - theta) / np.abs(mean_grad(inst, final_x)) < 1e-12)
 
 
 def exact_law(table, T):

@@ -50,7 +50,8 @@ def test_mc_scaling_study_rejects_shapes_that_need_knots():
     (("--horizons", "100,x"), "not a comma-separated list of integers: '100,x'"),
     (("--epsilon", "2"), "epsilon must lie in (0, 1]"),
     (("--epsilon", "-1e-3"), "epsilon must lie in (0, 1]"),
-], ids=["trials", "horizons", "epsilon", "epsilon-negative-exponent"])
+    (("--seed", "-1", "--horizons", "100"), "seed must lie in [0, 2^64), got -1"),
+], ids=["trials", "horizons", "epsilon", "epsilon-negative-exponent", "seed-negative"])
 def test_mc_scaling_study_exits_2_on_inputs_it_cannot_serve(args, message):
     proc = run_script("mc_scaling_study.py", *args)
     assert proc.returncode == 2 and proc.stdout == ""

@@ -3,11 +3,11 @@
 Subcommands: lowerbound, verify, certify, walk, mc, sweep.  Every one takes
 --out PATH (default stdout) and --config FILE (or any prefix of --config), a
 flat key=value file whose values explicit flags override.  --format csv|json is taken by lowerbound,
-verify, walk and mc (certify writes JSON, sweep CSV), --seed N by certify
-and mc, and --jobs N by sweep; the default worker count honors the
-LASTITER_JOBS environment variable.  Exit status: 0 when every embedded
-check passes, 1 with a machine-readable failure report on stderr
-otherwise, 2 for usage errors (an input too large to fit in memory is
+verify, walk and mc (certify writes JSON, sweep CSV), --seed N, an integer
+in [0, 2^64), by certify and mc, and --jobs N by sweep; the default worker
+count honors the LASTITER_JOBS environment variable.  Exit status: 0 when
+every embedded check passes, 1 with a machine-readable failure report on
+stderr otherwise, 2 for usage errors (an input too large to fit in memory is
 one).  A sweep checks its inputs before any job runs; a job that then
 raises anything but ``MemoryError``, or whose worker process dies under
 ``--jobs``, becomes a failing row whose report carries the error text.
@@ -268,13 +268,26 @@ def cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------
 # parser assembly and config handling
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """A --seed value: one 64-bit key word of a Philox stream (mc) or a
+    ``default_rng`` seed (certify), so an integer in [0, 2^64)."""
+    value = _int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {value}")
     return value
 
 
@@ -286,7 +299,7 @@ def _add_common(p, *, fmt=False, seed=False, jobs=False):
     if fmt:
         p.add_argument("--format", choices=("csv", "json"), default="json")
     if seed:
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
     if jobs:
         # a string default goes through _positive_int too, so a bad
         # $LASTITER_JOBS is a usage error like a bad --jobs

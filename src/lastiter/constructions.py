@@ -35,9 +35,9 @@ and 1/(32 sqrt(T)) respectively.
 
 Verification compares the engine's iterates with closed-form row blocks:
 each streamed iterate as a one-row block (``verify_instance``, memory
-O(d) beside the engine's T step sizes), or a recorded trace in blocks of
-``engine.VALUE_BLOCK`` floats (``verify_trajectory``); only the largest
-deviation and the first row above the tolerance are kept.  A quiet row's
+O(d) beside one block of the engine's step sizes), or a recorded trace in
+blocks of ``engine.VALUE_BLOCK`` floats (``verify_trajectory``); only the
+largest deviation and the first row above the tolerance are kept.  A quiet row's
 deviation is max|x_t|, and a streamed iterate the engine yields again is
 skipped, its deviation already seen, so a quiet step does no arithmetic.
 The oracle computes pieces only up to the last nonzero column of its input
@@ -422,7 +422,7 @@ def verify_trajectory(inst: AdversarialInstance, trace: SgdTrace,
 def verify_instance(inst: AdversarialInstance, tol: float = 1e-9) -> VerifyReport:
     """Run the engine as :func:`run_on_instance` does and check each iterate
     as it is produced, as a one-row block viewing it: no history, f only at
-    the final iterate, memory O(d) beside the engine's T step sizes.  A
+    the final iterate, memory O(d) beside one block of step sizes.  A
     quiet step does no arithmetic: the engine yields the same iterate, and
     the comparison skips it.  The report carries the oracle's divergences."""
     oracle = AdversarialOracle(inst)

@@ -1,18 +1,20 @@
 """Projected (stochastic) subgradient descent.
 
 The engine is deliberately small: a feasible set with an exact projection,
-a step-size schedule evaluated once per run, and a first-order oracle
-queried exactly once per step with the current point (or batch of points)
-and the 1-based step index.  There are two step loops.  :func:`sgd_steps`
-is the array loop: it streams a point or a batch with no history, and
-:func:`run_sgd` records every other path from the same loop.  A step whose
-answer is all +0.0 at a point the ball projection passed through does no
-arithmetic: the same array is yielded again (see :func:`sgd_steps`), so the
-long quiet prefix of a worst-case run costs one scan of each answer.  The
-other loop is the float form of :func:`run_sgd`: one point of shape (1,)
-on an :class:`Interval` (a walk or a nearly linear path) steps in Python
-floats, bit for bit the array step, without the numpy call overhead of
-one-element arrays or a row store per step.
+a step-size schedule evaluated a block of ``STEP_BLOCK`` sizes at a time,
+and a first-order oracle queried exactly once per step with the current
+point (or batch of points) and the 1-based step index.  There are two step
+loops.  :func:`sgd_steps` is the array loop: it streams a point or a batch
+with no history, and :func:`run_sgd` records every other path from the same
+loop.  A step whose answer is all +0.0 at a point the ball projection passed
+through does no arithmetic: the same array is yielded again (see
+:func:`sgd_steps`), so the long quiet prefix of a worst-case run, at the
+origin, costs one scan of each answer, and a recorded history, which starts
+as zeros, writes none of its rows.  The other loop is the float form of
+:func:`run_sgd`: one point of shape (1,) on an :class:`Interval` (a walk or
+a nearly linear path) steps in Python floats, bit for bit the array step,
+without the numpy call overhead of one-element arrays or a row store per
+step.
 
 An oracle is any object with
 
@@ -31,6 +33,7 @@ afterwards, a bounded block of rows per call.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +46,10 @@ SCHEDULE_KINDS = ("inv_t", "inv_sqrt_t", "constant")
 #: blocks of 2^16 floats made the worst-case oracle's values about 1.6x slower
 #: (T = 4096, d = 1024, on a 2-vCPU x86_64 VM)
 VALUE_BLOCK = 1 << 15
+
+#: step sizes per block of a run's schedule; as Python floats a block takes
+#: about 32 bytes a size, so 2^12 keeps it near 128 KiB whatever T is
+STEP_BLOCK = 1 << 12
 
 #: slack of the feasibility test of a start point, for rounding on the boundary
 _CONTAINS_TOL = 1e-12
@@ -69,14 +76,18 @@ class StepSchedule:
             if self.value is None or not 0 < self.value < math.inf:
                 raise ValueError("constant schedule needs a finite positive value")
 
-    def sizes(self, T: int, first: int = 1) -> np.ndarray:
-        """Step sizes eta_first..eta_T of a run of T steps, computed exactly;
-        a later ``first`` builds only that tail, ``sizes(T)[first - 1:]``."""
+    def sizes(self, T: int, first: int = 1, last: int | None = None) -> np.ndarray:
+        """Step sizes eta_first..eta_last of a run of T steps (``last``
+        defaults to T), computed exactly: only that window is built, and it
+        is ``sizes(T)[first - 1:last]`` bit for bit."""
+        last = T if last is None else last
         if not 1 <= first <= T:
             raise ValueError(f"need 1 <= first <= T, got first={first}, T={T}")
+        if not first <= last <= T:
+            raise ValueError(f"need first <= last <= T, got first={first}, last={last}, T={T}")
         if self.kind == "constant":
-            return np.full(T - first + 1, float(self.value))
-        t = np.arange(first, T + 1)
+            return np.full(last - first + 1, float(self.value))
+        t = np.arange(first, last + 1)
         return 1.0 / t if self.kind == "inv_t" else 1.0 / np.sqrt(t)
 
 
@@ -153,7 +164,9 @@ class Interval:
 @dataclass
 class SgdTrace:
     """Full history of one run: iterates x_1..x_{T+1}, oracle outputs g_1..g_T
-    and objective values f(x_1)..f(x_{T+1})."""
+    and objective values f(x_1)..f(x_{T+1}).  The first two start as zeros,
+    and :func:`run_sgd` leaves the rows of a quiet prefix at the origin
+    unwritten, so their pages need not be committed."""
 
     iterates: np.ndarray   # (T+1, d)
     gradients: np.ndarray  # (T, d)
@@ -194,17 +207,27 @@ def sgd_steps(oracle, feasible, schedule: StepSchedule, x1, T: int,
 
 
 def _start(oracle, feasible, schedule: StepSchedule, x1, T: int, seed: int):
-    """The checked start point, as a new array, and the step sizes of a run;
-    resets the oracle when it has ``reset``."""
+    """The checked start point, as a new array, and the step sizes of a run
+    (:func:`_step_sizes`); resets the oracle when it has ``reset``."""
     x = np.atleast_1d(np.asarray(x1, dtype=float)).copy()
     if x.ndim not in (1, 2) or x.shape[-1] != feasible.dim:
         raise ValueError(f"x1 has dimension {x.shape}, feasible set wants {feasible.dim}")
     if not feasible.contains(x):
         raise ValueError("x1 lies outside the feasible set")
-    etas = schedule.sizes(T)
+    if T < 1:
+        raise ValueError(f"need T >= 1, got T={T}")
     if hasattr(oracle, "reset"):
         oracle.reset(seed)
-    return x, etas
+    return x, _step_sizes(schedule, T)
+
+
+def _step_sizes(schedule: StepSchedule, T: int):
+    """eta_1..eta_T as Python floats, built ``STEP_BLOCK`` at a time and
+    chained in C, so a run holds one block of sizes, not T, and its step
+    loop gains no Python frame per step."""
+    return itertools.chain.from_iterable(
+        schedule.sizes(T, s, min(s + STEP_BLOCK - 1, T)).tolist()
+        for s in range(1, T + 1, STEP_BLOCK))
 
 
 def _array_steps(oracle, feasible, etas, x: np.ndarray):
@@ -251,18 +274,27 @@ def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
     read after the call, as the array step reads it, so an in-place write
     to x reaches the step in both forms.  Other points and feasible sets
     take the array step of :func:`sgd_steps`.
+
+    History: ``iterates`` and ``gradients`` start as zeros.  The array step
+    writes a row unless the step yielded the same array as the step before
+    (a pass-through, or a projection that returns one buffer of its own)
+    and the row's bits are all +0.0, so the quiet prefix of a worst-case
+    run at the origin writes nothing.  A -0.0 entry, a NaN or any nonzero
+    entry is written, as is every row of an array the step has not
+    yielded before; the float form writes every row.
     """
     if np.ndim(x1) > 1:
         raise ValueError(f"run_sgd records a single path; x1 has shape {np.shape(x1)}")
     x, etas = _start(oracle, feasible, schedule, x1, T, seed)
-    iterates = np.empty((T + 1, x.shape[0]))
-    gradients = np.empty((T, x.shape[0]))
+    iterates = np.zeros((T + 1, x.shape[0]))
+    gradients = np.zeros((T, x.shape[0]))
     values = np.empty(T + 1)
-    iterates[0] = x
+    if np.count_nonzero(x.view(np.uint64)):     # x_1 = +0.0 leaves row 0 unwritten too
+        iterates[0] = x
     if x.shape == (1,) and type(feasible) is Interval:
         lo, hi = float(feasible.lo), float(feasible.hi)
         xs, gs = iterates.reshape(-1), gradients.reshape(-1)    # views, one float a row
-        for t, eta in enumerate(map(float, etas), start=1):
+        for t, eta in enumerate(etas, start=1):
             g = np.asarray(oracle.subgradient(x, t), dtype=float)
             if g.shape not in ((1,), ()):       # a 0-d answer counts as (1,)
                 raise ValueError(f"oracle returned shape {g.shape}, expected {x.shape}")
@@ -276,10 +308,14 @@ def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
                 y = hi
             xs[t] = x[0] = y
     else:
+        prev = None
         for t, g, x in _array_steps(oracle, feasible, etas, x):
-            gradients[t - 1] = g
-            iterates[t] = x
-    del etas    # T floats that the value blocks do not need
+            # a repeated x whose row is all +0.0 bits leaves both rows unwritten
+            if x is not prev or np.count_nonzero(g.view(np.uint64)):
+                gradients[t - 1] = g
+            if x is not prev or np.count_nonzero(x.view(np.uint64)):
+                iterates[t] = x
+            prev = x
     rows = block_rows(x.shape[0])
     for s in range(0, T + 1, rows):
         block = iterates[s:s + rows]

@@ -11,10 +11,12 @@ independent route to the values it asserts:
   ``searchsorted`` over its interior knots;
 - a nearly linear instance's two-point oracle for a (B, 1) batch of
   points, so that batched paths can run through the engine's array step
-  beside ``simulate_paths``' transition table.
+  beside ``simulate_paths``' transition table;
+- a recorded run with every row of its history written, from the points
+  and answers of ``sgd_steps``.
 
 No route of the library uses them; the two dense tables cost O(d^2) and
-O(n^2) memory.
+O(n^2) memory, and the recorded run commits every page of its history.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ import numpy as np
 import lastiter.constructions as cons
 import lastiter.nearly_linear as nl
 import lastiter.walk as wk
+from lastiter import engine
 
 
 def piece_grads(inst) -> np.ndarray:
@@ -88,3 +91,20 @@ class BatchTwoPointOracle:
         probs = self._inst.segment_probs[
             np.searchsorted(self._inst.knots[1:-1], x[:, 0], side="right")]
         return self._answers[(u < probs).astype(np.intp)][:, None]
+
+
+def recorded_run(oracle, feasible, schedule, x1, T: int, seed: int = 0) -> engine.SgdTrace:
+    """What ``run_sgd`` records, with every row written into ``np.empty``:
+    x_1 and each (g_t, x_{t+1}) of ``sgd_steps`` as it is yielded, then the
+    values, one ``oracle.value`` call per block of ``engine.VALUE_BLOCK``
+    floats of iterates."""
+    d = np.atleast_1d(np.asarray(x1, dtype=float)).shape[0]
+    iterates, gradients = np.empty((T + 1, d)), np.empty((T, d))
+    for t, g, x in engine.sgd_steps(oracle, feasible, schedule, x1, T, seed):
+        iterates[t] = x
+        if t:
+            gradients[t - 1] = g
+    rows = engine.block_rows(d)
+    values = np.concatenate([oracle.value(iterates[s:s + rows])
+                             for s in range(0, T + 1, rows)])
+    return engine.SgdTrace(iterates, gradients, values)

@@ -1,7 +1,8 @@
 """The one-buffer staircase kernel, the dot-product norms, the in-place
-certificate sampling, the block-wise recorded values of ``run_sgd``, the
-block-wise worst-case checks and the walk's array profiles against the
-straightforward formulas they replaced.
+certificate sampling, the block-wise recorded values of ``run_sgd``, its
+history with the all-+0.0 rows left unwritten, the block-wise worst-case
+checks and the walk's array profiles against the straightforward formulas
+they replaced.
 
 The references below are those formulas, kept here only.  Every comparison
 but the exp profile's (within one ulp of ``math.exp``) is on raw bits
@@ -16,9 +17,9 @@ import pytest
 import lastiter.constructions as cons
 import lastiter.nearly_linear as nl
 import lastiter.walk as wk
-from lastiter import engine
+from lastiter import cli, engine
 from lastiter.engine import Ball
-from reference_routes import active_set, piece_grads, subgradient_at
+from reference_routes import active_set, piece_grads, recorded_run, subgradient_at
 
 DIMS = [1, 2, 8, 257]
 
@@ -224,6 +225,118 @@ def test_simulated_walk_values_match_per_step_f(name, block_rows):
     ch = wk.chain_from_function(f, 100, subgradient=df)
     trace = wk.simulate_chain_sgd(ch, f, steps=5000, seed=4)
     assert_bits(trace.values, np.array([f(float(x)) for x in trace.iterates[:, 0]]))
+
+
+# ------------------------------------------- recorded history, quiet rows unwritten
+# run_sgd once wrote every row of its history into np.empty; it now starts
+# from np.zeros and leaves a row whose bits are all +0.0 unwritten when the
+# step yielded the same array again.  recorded_run writes every row.
+
+def assert_same_trace(got, want):
+    assert_bits(got.iterates, want.iterates)
+    assert_bits(got.gradients, want.gradients)
+    assert_bits(got.values, want.values)
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+@pytest.mark.parametrize("d", [1, 8, 1024])
+def test_recorded_worst_case_runs_match_every_row_written(family, d, monkeypatch):
+    inst = cons.build_instance(family, d, max(2 * d, 1000))
+    got = cons.run_on_instance(inst)
+    monkeypatch.setattr(cons, "run_sgd", recorded_run)
+    want = cons.run_on_instance(inst)
+    assert_same_trace(got, want)
+    assert cons.verify_trajectory(inst, got) == cons.verify_trajectory(inst, want)
+
+
+def test_recorded_paths_of_the_walk_and_the_nearly_linear_instance(monkeypatch):
+    f, _ = wk.profile("linear")
+    ch = wk.chain_from_function(f, 50)
+    inst = nl.build_nearly_linear("abs", 1.0, 1.0, 0.5)
+    runs = (lambda: wk.simulate_chain_sgd(ch, f, steps=3000, seed=2),
+            lambda: wk.simulate_chain_sgd(ch, f, steps=3000, seed=2, start=0.0),
+            lambda: nl.path_via_engine(inst, 3000, x0=0.0, seed=3, trial=1),
+            lambda: nl.path_via_engine(inst, 3000, x0=-0.0, seed=3, trial=1))
+    got = [run() for run in runs]
+    monkeypatch.setattr(wk, "run_sgd", recorded_run)
+    monkeypatch.setattr(nl, "run_sgd", recorded_run)
+    for trace, run in zip(got, runs, strict=True):
+        assert_same_trace(trace, run())
+
+
+class Scripted:
+    """Answers the t-th row of a script (+0.0 past its end); before it
+    answers step t it writes ``writes[t]`` into the point it is asked about.
+    f is the squared norm."""
+
+    def __init__(self, script, d, writes=None):
+        self.script, self.d, self.writes = script, d, writes or {}
+
+    def value(self, X):
+        return np.einsum("ij,ij->i", X, X)
+
+    def subgradient(self, x, t):
+        if t in self.writes:
+            x[...] = self.writes[t]
+        return np.array(self.script[t - 1] if t <= len(self.script) else np.zeros(self.d),
+                        dtype=float)
+
+
+class BufferBall(Ball):
+    """A ball whose projection writes into one buffer of its own and returns
+    it, so every step after the first yields the same array."""
+
+    def project(self, x):
+        if not hasattr(self, "_buf"):
+            object.__setattr__(self, "_buf", np.empty(self.dim))
+        self._buf[...] = super().project(x)
+        return self._buf
+
+
+_Z, _N = [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]
+SCRIPTED = {
+    # +0.0 answers at a nonzero interior point pass through there
+    "plus-zero-inside": ([_Z, _Z, [0.5, 0.0, -0.25], _Z, _Z], None, [0.25, -0.5, 0.125]),
+    # -0.0 answers and -0.0 coordinates are nonzero bits, at the origin too
+    "minus-zero": ([_N, _Z, [0.0, -0.0, 0.0], _N, _Z, _Z, _N], None, [-0.0, 0.0, -0.0]),
+    "minus-zero-at-origin": ([_Z, _N, _Z, _Z, _N], None, _Z),
+    # an oracle that writes into x while it passes through: a nonzero point,
+    # a NaN, +0.0 again and -0.0
+    "writes-into-x": ([], {3: [0.0, 0.5, 0.0], 5: [np.nan, 0.0, 0.0], 7: _Z, 9: _N}, _Z),
+}
+
+
+@pytest.mark.parametrize("feasible", [Ball(1.0, 3), BufferBall(1.0, 3)],
+                         ids=["ball", "one-buffer"])
+@pytest.mark.parametrize("case", sorted(SCRIPTED))
+def test_recorded_stub_runs_match_every_row_written(case, feasible):
+    script, writes, x1 = SCRIPTED[case]
+    sched, T = engine.StepSchedule("inv_sqrt_t"), 12
+    runs = [route(Scripted(script, 3, writes), feasible, sched, np.array(x1), T)
+            for route in (engine.run_sgd, recorded_run)]
+    assert_same_trace(*runs)
+    history = np.concatenate([runs[0].iterates, runs[0].gradients])
+    assert np.signbit(history).any() or case == "plus-zero-inside"
+
+
+@pytest.mark.parametrize("family", cons.FAMILIES)
+def test_one_buffer_projection_records_a_worst_case_run(family):
+    # every step yields the buffer, so each quiet row is tested on its bits
+    inst = cons.build_instance(family, 8, 64)
+    ball = BufferBall(inst.feasible().radius, inst.d)
+    runs = [route(cons.AdversarialOracle(inst), ball, inst.schedule(), np.zeros(inst.d), inst.T)
+            for route in (engine.run_sgd, recorded_run)]
+    assert_same_trace(*runs)
+    assert_same_trace(runs[0], cons.run_on_instance(inst))
+
+
+def test_dump_trace_csv_is_the_every_row_written_csv(tmp_path, monkeypatch):
+    argv = ["verify", "--family", "lip-fixed", "--d", "16", "--T", "256", "--out",
+            str(tmp_path / "rep.json"), "--dump-trace"]
+    assert cli.main(argv + [str(tmp_path / "got.csv")]) == 0
+    monkeypatch.setattr(cons, "run_sgd", recorded_run)
+    assert cli.main(argv + [str(tmp_path / "want.csv")]) == 0
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # ------------------------------------------- walk profiles as array maps

@@ -253,13 +253,39 @@ def test_mc_checks_kmax_before_simulating(kmax, monkeypatch, capsys):
     assert err[-1] == f"lastiter: error: kmax must be >= 2 for a tail fit, got {kmax}"
 
 
+SEED_RUNS = {
+    "mc": ["mc", "--T", "100", "--trials", "100", "--format", "csv"],
+    "certify": ["certify", "--family", "sc", "--d", "2", "--T", "4", "--samples", "10"],
+}
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_mc_seed_outside_64_bits_is_a_usage_error(seed, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["mc", "--T", "100", "--trials", "100", "--seed", seed])
     assert exc.value.code == 2
     errors = [l for l in capsys.readouterr().err.splitlines() if "error" in l]
-    assert errors == [f"lastiter: error: seed must lie in [0, 2^64), got {seed}"]
+    assert errors == [f"lastiter mc: error: argument --seed: must lie in [0, 2^64), got {seed}"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "1.5"])
+def test_certify_seed_outside_64_bits_is_a_usage_error(seed, capsys):
+    # numpy's default_rng takes any integer >= 0, so only the shared --seed
+    # type keeps certify to the range mc accepts
+    with pytest.raises(SystemExit) as exc:
+        run(SEED_RUNS["certify"] + ["--seed", seed])
+    assert exc.value.code == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error" in l]
+    why = "not an integer: '1.5'" if seed == "1.5" else f"must lie in [0, 2^64), got {seed}"
+    assert errors == [f"lastiter certify: error: argument --seed: {why}"]
+
+
+@pytest.mark.parametrize("command", sorted(SEED_RUNS))
+@pytest.mark.parametrize("seed", ["0", str(2 ** 64 - 1)])
+def test_seed_at_either_end_of_64_bits_runs(command, seed, tmp_path):
+    out = tmp_path / "out"
+    assert run(SEED_RUNS[command] + ["--seed", seed, "--out", str(out)]) == 0
+    assert out.read_text()
 
 
 _STEP = "the fixed step 4D/(G sqrt(T)) is {}, not a finite positive float, for {}"

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lastiter.constructions as cons
+from lastiter import engine
 from lastiter.engine import run_sgd
 from reference_routes import active_set, piece_grads, subgradient_at
 
@@ -464,8 +467,7 @@ def test_verify_instance_memory_is_o_of_d():
 
 def test_verify_instance_keeps_no_per_step_deviation():
     # the comparison keeps a running maximum and a first index, not T+1 row
-    # deviations; what stays O(T) at d = 2 is the engine's step sizes, three
-    # floats per step while they are computed (arange, sqrt and quotient)
+    # deviations: the peak stays under one float a step
     inst = cons.build_instance("lip-dec", 2, 50_000)
     tracemalloc.start()
     try:
@@ -474,7 +476,49 @@ def test_verify_instance_keeps_no_per_step_deviation():
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert peak < 3.5 * 8 * inst.T, peak / inst.T
+    assert peak < 8 * inst.T, peak / inst.T
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_recorded_quiet_prefix_commits_no_memory():
+    # lip-fixed at d = 1024, T = 4096 waits T - d = 3072 steps at the origin,
+    # so of its 64 MiB of iterates and gradients only the d kicked rows of
+    # each (16 MiB) are nonzero.  run_sgd takes both arrays from np.zeros,
+    # that is from calloc, and leaves the all-+0.0 rows unwritten.  glibc
+    # serves a calloc block of 32 MiB or more (the ceiling of its adaptive
+    # mmap threshold) with a fresh mapping, whose pages stay uncommitted
+    # until written; a smaller block may come from the heap, which calloc
+    # clears by writing.  So both arrays must be at least 32 MiB.
+    inst = cons.build_instance("lip-fixed", 1024, 4096)
+
+    def resident():
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    before = resident()
+    trace = cons.run_on_instance(inst)
+    grown = resident() - before
+    assert min(trace.iterates.nbytes, trace.gradients.nbytes) >= 32 << 20
+    assert grown < 32 << 20, grown / 2 ** 20
+
+
+def test_verify_instance_holds_one_block_of_step_sizes(monkeypatch):
+    # the engine builds its step sizes engine.STEP_BLOCK at a time: at
+    # T = 10^5 (25 blocks) the peak stays under 1 MB, where all T sizes with
+    # their int64 arange and sqrt temporaries took 2.4 MB; the report is the
+    # one a run with every size in one block gives
+    inst = cons.build_instance("lip-dec", 2, 100_000)
+    tracemalloc.start()
+    try:
+        rep = cons.verify_instance(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    monkeypatch.setattr(engine, "STEP_BLOCK", inst.T)
+    want = cons.verify_instance(inst)
+    assert rep.passed and rep.to_dict() == want.to_dict()
+    assert rep.final_value.hex() == want.final_value.hex()
 
 
 @pytest.mark.parametrize("family", cons.FAMILIES)

@@ -63,6 +63,10 @@ def test_schedule_exact_values():
         for first in (1, 2, T):
             got, want = s.sizes(T, first), s.sizes(T)[first - 1:]
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (s.kind, first)
+        # and a window eta_first..eta_last is its slice
+        for first, last in ((1, 1), (2, T - 1), (T, T), (7, 4102)):
+            got, want = s.sizes(T, first, last), s.sizes(T)[first - 1:last]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (s.kind, first, last)
         # at the largest T with exact step indices a few sizes need no T floats
         big = 2 ** 53 - 1
         tracemalloc.start()
@@ -83,11 +87,36 @@ def test_schedule_range_and_validation():
     for first in (0, 11):
         with pytest.raises(ValueError, match="need 1 <= first <= T"):
             s.sizes(10, first)
+    for last in (4, 11):
+        with pytest.raises(ValueError, match="need first <= last <= T"):
+            s.sizes(10, 5, last)
     for value in (None, 0.0, -0.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite positive value"):
             eng.StepSchedule("constant", value=value)
     with pytest.raises(ValueError):
         eng.StepSchedule("bogus")
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, 10 ** 6])
+def test_step_sizes_in_blocks_are_the_schedule(block, monkeypatch):
+    # a run's sizes come STEP_BLOCK at a time as Python floats; chained,
+    # they are sizes(T) bit for bit, whatever the block and a ragged last one
+    monkeypatch.setattr(eng, "STEP_BLOCK", block)
+    T = 10_007
+    for s in (eng.StepSchedule("inv_t"), eng.StepSchedule("inv_sqrt_t"),
+              eng.StepSchedule("constant", value=0.3)):
+        got = list(eng._step_sizes(s, T))
+        assert all(type(eta) is float for eta in got)
+        assert np.array_equal(np.array(got).view(np.uint64), s.sizes(T).view(np.uint64))
+
+
+def test_run_needs_at_least_one_step():
+    for steps in (lambda: eng.run_sgd(LinearOracle(), eng.Interval(-1.0, 1.0),
+                                      eng.StepSchedule("inv_t"), [0.0], 0),
+                  lambda: next(eng.sgd_steps(LinearOracle(), eng.Ball(1.0, 1),
+                                             eng.StepSchedule("inv_t"), [0.0], 0))):
+        with pytest.raises(ValueError, match="need T >= 1, got T=0"):
+            steps()
 
 
 def test_schedule_positive():

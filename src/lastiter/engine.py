@@ -11,10 +11,10 @@ through does no arithmetic: the same array is yielded again (see
 :func:`sgd_steps`), so the long quiet prefix of a worst-case run, at the
 origin, costs one scan of each answer, and a recorded history, which starts
 as zeros, writes none of its rows.  The other loop is the float form of
-:func:`run_sgd`: one point of shape (1,) on an :class:`Interval` (a walk or
-a nearly linear path) steps in Python floats, bit for bit the array step,
-without the numpy call overhead of one-element arrays or a row store per
-step.
+:func:`run_sgd`: a path on an :class:`Interval` whose oracle answers floats
+(a walk or a nearly linear path) steps in Python floats, bit for bit the
+array step, without the numpy call overhead of one-element arrays or a row
+store per step.
 
 An oracle is any object with
 
@@ -22,6 +22,9 @@ An oracle is any object with
                                  block of points (used by run_sgd only)
     subgradient(x, t) -> array   subgradient estimate at x for step t, shaped
                                  like x (one row per point of a batch)
+    float_subgradient(x, t)      optional; the same estimate as a float, at
+      -> float                   a one-dimensional point given as a float
+                                 (the float form of run_sgd asks only this)
     reset(seed)                  optional; reseed internal randomness
 
 ``reset`` is called at the start of every run, so identical arguments
@@ -261,19 +264,17 @@ def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
     iterates (k rows of d); each call must return shape (k,), else
     ValueError.
 
-    Float form: one point of shape (1,) on an :class:`Interval` (not a
-    subclass, whose projection may differ) steps in Python floats, stored
-    straight into the history.  A step is the array step's operations on
-    floats, with the same checks and errors: the answer's one float, a
-    ``math.isfinite`` test, ``x - eta*g`` and the clip.  The clip copies
+    Float form: on an :class:`Interval` (not a subclass, whose projection
+    may differ), an oracle with ``float_subgradient`` is asked for a float
+    at a float, and the path steps in Python floats, stored straight into
+    the history.  A step is the array step's operations on floats, with the
+    same finiteness check and error: a ``math.isfinite`` test of the answer,
+    ``x - eta*g`` and the clip.  The clip copies
     ``np.minimum(hi, np.maximum(lo, y))``, which returns y, not the bound,
     on a tie: a -0.0 y on a bound of +0.0 stays -0.0, and +0.0 on -0.0
-    stays +0.0.  So the bits are those of the array step.  The oracle is
-    queried with one (1,) array, overwritten with the new point after each
-    step, so an oracle must not keep the array it is asked about.  x is
-    read after the call, as the array step reads it, so an in-place write
-    to x reaches the step in both forms.  Other points and feasible sets
-    take the array step of :func:`sgd_steps`.
+    stays +0.0.  So the bits are those of the array step, given answers of
+    the same bits.  Other oracles and feasible sets take the array step of
+    :func:`sgd_steps`.
 
     History: ``iterates`` and ``gradients`` start as zeros.  The array step
     writes a row unless the step yielded the same array as the step before
@@ -291,22 +292,21 @@ def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
     values = np.empty(T + 1)
     if np.count_nonzero(x.view(np.uint64)):     # x_1 = +0.0 leaves row 0 unwritten too
         iterates[0] = x
-    if x.shape == (1,) and type(feasible) is Interval:
+    if type(feasible) is Interval and hasattr(oracle, "float_subgradient"):
+        answer = oracle.float_subgradient
         lo, hi = float(feasible.lo), float(feasible.hi)
         xs, gs = iterates.reshape(-1), gradients.reshape(-1)    # views, one float a row
+        xf = x.item(0)
         for t, eta in enumerate(etas, start=1):
-            g = np.asarray(oracle.subgradient(x, t), dtype=float)
-            if g.shape not in ((1,), ()):       # a 0-d answer counts as (1,)
-                raise ValueError(f"oracle returned shape {g.shape}, expected {x.shape}")
-            gv = gs[t - 1] = g.item(0)      # read before x, which g may share, moves
-            if not math.isfinite(gv):
+            g = gs[t - 1] = answer(xf, t)
+            if not math.isfinite(g):
                 raise ValueError(f"oracle returned a non-finite subgradient at step {t}")
-            y = x.item(0) - eta * gv
+            y = xf - eta * g
             if y < lo:      # np.maximum(lo, y) and np.minimum(hi, .) keep y
                 y = lo      # on a tie, so a signed zero y survives a zero bound
             elif y > hi:
                 y = hi
-            xs[t] = x[0] = y
+            xs[t] = xf = y
     else:
         prev = None
         for t, g, x in _array_steps(oracle, feasible, etas, x):

@@ -17,7 +17,8 @@ computed here in log space, and its expected objective value is bounded by
 (2 + 24e)/n.
 
 The walk runs as that SGD through the engine (:func:`simulate_chain_sgd`)
-with :class:`GridSignOracle`, the nearly linear study's two-point oracle.
+with :class:`GridSignOracle`, the nearly linear study's two-point oracle,
+which answers a float for a float, so the run steps in Python floats.
 Objectives and subgradients map an array of points elementwise, as the
 :data:`PROFILES` do, and are called once per grid or block of values.
 """
@@ -224,7 +225,12 @@ def simulate_chain_sgd(chain: WalkChain, f: Callable[[np.ndarray], np.ndarray],
 
 
 def long_run_suboptimality(trace: SgdTrace, burn_in: int = 0) -> float:
-    """Time average of the recorded objective values after burn-in."""
+    """Time average of the recorded objective values after the first
+    ``burn_in``; ValueError unless 0 <= burn_in < the number of values."""
+    n = len(trace.values)
+    if not 0 <= burn_in < n:
+        raise ValueError(f"need 0 <= burn_in < {n}, the number of recorded values, "
+                         f"got burn_in={burn_in}")
     return float(np.mean(trace.values[burn_in:]))
 
 

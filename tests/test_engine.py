@@ -385,22 +385,24 @@ def test_one_oracle_call_per_step_with_pass_through():
 
 
 # ------------------------------------------------------------ float form
-# run_sgd records one point of shape (1,) on an Interval in Python floats;
-# sgd_steps takes the array step for it and for a (1, 1) batch.  All must
-# give the same bits, above all where x - eta*g lands on a signed zero at a
-# zero bound: np.maximum(lo, y) and np.minimum(hi, y) return y on a tie, not
-# the bound.
+# run_sgd records a path on an Interval in Python floats when its oracle has
+# float_subgradient; sgd_steps takes the array step for a (1,) point and for
+# a (1, 1) batch, and so does run_sgd for any other oracle.  All must give
+# the same bits, above all where x - eta*g lands on a signed zero at a zero
+# bound: np.maximum(lo, y) and np.minimum(hi, y) return y on a tie, not the
+# bound.
 
-class ShapedScript:
+class ArrayScript:
     """Answers the t-th float of a script, shaped like the point asked, and
     records the steps it was asked for."""
 
     def __init__(self, script):
         self.script = script
-        self.calls = []
+        self.reset(0)
 
     def reset(self, seed):
         self.calls = []
+        self.float_calls = []
 
     def subgradient(self, x, t):
         self.calls.append(t)
@@ -410,18 +412,32 @@ class ShapedScript:
         return np.zeros(len(X))
 
 
+class ShapedScript(ArrayScript):
+    """ArrayScript that also answers the script as a float at a float, and
+    records those steps apart."""
+
+    def float_subgradient(self, x, t):
+        assert type(x) is float
+        self.float_calls.append(t)
+        return self.script[t - 1]
+
+
 _ZERO_BOUNDS = [(-0.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (-1.0, -0.0)]
 _ANSWERS = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 4.0, -4.0, 5e-324, -5e-324]
 
 
 def _float_and_array_runs(oracle, interval, schedule, x1, T):
     """Bytes of (g, x) at every step of three runs: the array step of
-    sgd_steps from a (1,) point and from a (1, 1) batch, and the float form,
-    the rows run_sgd records from the (1,) point."""
+    sgd_steps from a (1,) point and from a (1, 1) batch, and the rows run_sgd
+    records from the (1,) point, in its float form when the oracle has
+    float_subgradient (checked: it is asked only that), else by the array
+    step."""
     runs = [[(None if g is None else g.tobytes(), x.tobytes())
              for _, g, x in eng.sgd_steps(oracle, interval, schedule, np.full(shape, x1), T)]
             for shape in ((1,), (1, 1))]
     tr = eng.run_sgd(oracle, interval, schedule, np.full((1,), x1), T)
+    if hasattr(oracle, "float_subgradient"):
+        assert oracle.float_calls == list(range(1, T + 1)) and oracle.calls == []
     runs.append([(None, tr.iterates[0].tobytes())]
                 + [(g.tobytes(), x.tobytes()) for g, x in zip(tr.gradients, tr.iterates[1:])])
     return runs
@@ -448,8 +464,28 @@ def test_float_form_matches_the_array_step_on_raw_bits(bounds):
                 assert single == batch == recorded, (x1, script)
 
 
-def test_float_form_steps_from_x_as_the_oracle_left_it():
-    class Nudging(ShapedScript):
+def test_float_capable_oracle_takes_the_array_step_off_a_plain_interval():
+    # an Interval subclass may project otherwise, and a (1, 1) batch streams
+    # through sgd_steps: both take the array step, with the float form's bits
+    class Subinterval(eng.Interval):
+        pass
+
+    sched, script = eng.StepSchedule("inv_t"), [0.5, -2.0, 5e-324, -0.0, 4.0, 0.25]
+    T = len(script)
+    plain = eng.run_sgd(ShapedScript(script), eng.Interval(-1.0, 1.0), sched, np.zeros(1), T)
+    oracle = ShapedScript(script)
+    sub = eng.run_sgd(oracle, Subinterval(-1.0, 1.0), sched, np.zeros(1), T)
+    assert oracle.calls == list(range(1, T + 1)) and oracle.float_calls == []
+    assert sub.iterates.tobytes() == plain.iterates.tobytes()
+    assert sub.gradients.tobytes() == plain.gradients.tobytes()
+    batch = [x.tobytes() for _, _, x in eng.sgd_steps(oracle, eng.Interval(-1.0, 1.0), sched,
+                                                       np.zeros((1, 1)), T)]
+    assert oracle.calls == list(range(1, T + 1)) and oracle.float_calls == []
+    assert batch == [x.tobytes() for x in plain.iterates]
+
+
+def test_run_sgd_array_step_on_an_interval_steps_from_x_as_the_oracle_left_it():
+    class Nudging(ArrayScript):
         def subgradient(self, x, t):
             x[...] = 0.25 * t           # an oracle that writes into its query
             return super().subgradient(x, t)
@@ -461,10 +497,10 @@ def test_float_form_steps_from_x_as_the_oracle_left_it():
 
 
 @pytest.mark.parametrize("answer", [lambda x: x, lambda x: x[...]], ids=["itself", "view"])
-def test_float_form_keeps_an_answer_that_is_the_query(answer):
-    # the float form queries one array that it overwrites after each step;
-    # an answer sharing that array must not change with it
-    class Echo(ShapedScript):
+def test_run_sgd_array_step_on_an_interval_keeps_an_answer_that_is_the_query(answer):
+    # an answer that shares the point it was asked about is recorded as it
+    # was given, not as the point moves on
+    class Echo(ArrayScript):
         def subgradient(self, x, t):
             return answer(x)
 
@@ -508,14 +544,15 @@ def test_float_form_rejects_a_non_finite_answer_like_the_array_step(bad):
         with pytest.raises(ValueError, match="^oracle returned a non-finite subgradient "
                                              "at step 3$"):
             next(steps)
-    # run_sgd records the float form from the same steps and checks
+    # run_sgd's float form meets the float answer at the same step, and asks
+    # nothing after it
     oracle = ShapedScript([0.5, -0.5, bad, 0.0])
     with pytest.raises(ValueError, match="^oracle returned a non-finite subgradient at step 3$"):
         eng.run_sgd(oracle, eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"), np.zeros(1), T=4)
-    assert oracle.calls == [1, 2, 3]
+    assert oracle.float_calls == [1, 2, 3] and oracle.calls == []
 
 
-def test_float_form_rejects_a_wrong_shape_like_the_array_step():
+def test_run_sgd_array_step_on_an_interval_rejects_a_wrong_shape():
     class Wide:
         def subgradient(self, x, t):
             return np.zeros(3)
@@ -529,8 +566,8 @@ def test_float_form_rejects_a_wrong_shape_like_the_array_step():
         eng.run_sgd(Wide(), eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"), np.zeros(1), T=2)
 
 
-def test_float_form_takes_a_0d_answer_like_the_array_step():
-    class Scalar(ShapedScript):
+def test_run_sgd_array_step_on_an_interval_takes_a_0d_answer():
+    class Scalar(ArrayScript):
         def subgradient(self, x, t):
             return np.float64(super().subgradient(x, t)[0])
 

@@ -70,10 +70,11 @@ def test_piecewise_shape_and_band_validation():
     idx = np.clip(np.searchsorted(inst.knots, xs, side="right") - 1,
                   0, inst.slopes.shape[0] - 1)
     assert np.array_equal(mean_grad(inst, xs), inst.slopes[idx])
-    # the oracle's lookup, for one point and for a batch, picks the P[+G] of
-    # the searchsorted index over the interior knots: at every knot (the
-    # domain ends among them) and its neighbouring floats, at +/-0.0 and
-    # beyond both ends
+    # plus_prob, on a column and on (1,) points, picks the P[+G] of the
+    # searchsorted index over the interior knots: at every knot (the domain
+    # ends among them) and its neighbouring floats, at +/-0.0 and beyond
+    # both ends (the step's own bisect lookup is checked against the same
+    # index in test_float_answers_are_the_array_answers_step_for_step)
     for case in (abs_instance(), asym_abs_instance(), inst, multi_knot_instance()):
         ks = case.knots
         xs = np.concatenate([ks, np.nextafter(ks, -np.inf), np.nextafter(ks, np.inf),
@@ -180,6 +181,54 @@ def test_oracle_draws_are_bounded_and_unbiased():
     # simulate_paths' table
     with pytest.raises(ValueError, match="one point"):
         nl.NearlyLinearOracle(inst).subgradient(np.full((4, 1), x), 1)
+
+
+def _grid_sign_oracle(n=7):
+    """A grid walk's oracle, its cuts, P[+G] table, G, uniform stream and ends."""
+    chain = wk.make_chain(np.linspace(0.5, 1.0, n + 1))
+    return ((lambda: wk.GridSignOracle(chain, abs)), (np.arange(n) + 0.5) / n,
+            chain.left_probs, 1.0, np.random.default_rng, 0.0, 1.0)
+
+
+def _instance_oracle(make, trial=3):
+    """An instance's oracle for one trial, as :func:`_grid_sign_oracle`."""
+    inst = make()
+    return ((lambda: nl.NearlyLinearOracle(inst, trial=trial)), inst.knots[1:-1],
+            inst.segment_probs, inst.grad_bound, lambda seed: nl.trial_stream(seed, trial),
+            inst.lo, inst.hi)
+
+
+@pytest.mark.parametrize("oracles", [_grid_sign_oracle, lambda: _instance_oracle(abs_instance),
+                                     lambda: _instance_oracle(asym_abs_instance),
+                                     lambda: _instance_oracle(many_knot_instance)],
+                         ids=["grid_sign", "abs", "asym_abs", "many_knot"])
+@pytest.mark.parametrize("T", [nl.TILE - 1, nl.TILE, nl.TILE + 1, 2 * nl.TILE + 1])
+def test_float_answers_are_the_array_answers_step_for_step(oracles, T):
+    # one oracle answers floats, one arrays and one alternates, from the same
+    # seed, at every cut, its neighbouring floats, both zeros and both ends;
+    # all three answer +G exactly when the step's uniform is below the P[+G]
+    # of the searchsorted index, across tile edges and a second reset
+    make, cuts, probs, G, stream, lo, hi = oracles()
+    points = np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+                             [0.0, -0.0, lo, hi]])
+    floats, arrays, mixed = make(), make(), make()
+    for seed in (11, 12):
+        for oracle in (floats, arrays, mixed):
+            oracle.reset(seed)
+        xs = points[np.arange(1, T + 1) % points.size]
+        want = np.where(stream(seed).random(T) < probs[np.searchsorted(cuts, xs, side="right")],
+                        G, -G)
+        got = []
+        for t, x in enumerate(xs.tolist(), start=1):
+            g = floats.float_subgradient(x, t)
+            a = arrays.subgradient(np.array([x]), t)
+            m = (mixed.float_subgradient(x, t) if t % 2 else
+                 mixed.subgradient(np.array([x]), t).item(0))
+            assert type(g) is float
+            assert np.array([g]).tobytes() == a.tobytes() == np.array([m]).tobytes(), (seed, t)
+            got.append(g)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+        assert set(got) == {G, -G}
 
 
 # --------------------------------------------------------------- simulation

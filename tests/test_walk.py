@@ -294,3 +294,13 @@ def test_long_run_suboptimality_near_stationary_small_n():
     emp = wk.long_run_suboptimality(trace, burn_in=n * n)
     stat = wk.stationary_suboptimality(ch, f)
     assert abs(emp - stat) <= 0.01
+
+
+@pytest.mark.parametrize("burn_in", [-5, -1, 11, 12])
+def test_long_run_suboptimality_rejects_a_burn_in_it_cannot_serve(burn_in):
+    f, _ = wk.profile("linear")
+    trace = wk.simulate_chain_sgd(wk.chain_from_function(f, 5), f, steps=10)
+    assert wk.long_run_suboptimality(trace, burn_in=10) == trace.values[10]
+    with pytest.raises(ValueError, match=rf"^need 0 <= burn_in < 11, the number of recorded "
+                                         rf"values, got burn_in={burn_in}$"):
+        wk.long_run_suboptimality(trace, burn_in=burn_in)

@@ -341,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walk", help="stationary analysis of the grid random walk")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--profile", choices=sorted(wk.PROFILES), default="quadratic")
-    p.add_argument("--slope", type=float, default=0.5, help="slope for the linear profile")
+    p.add_argument("--slope", type=float, default=0.5, help="slope for the linear profile, in (0, 1]")
     p.add_argument("--method", choices=("closed_form", "linear_solve"),
                    default="closed_form")
     _add_common(p, fmt=True)

@@ -16,12 +16,10 @@ whole trajectory from x_1 = 0 has a closed form: the iterate sleeps at the
 origin, then coordinate k is "kicked" up at step T-d+k and decays under the
 shared slopes afterwards.  The final iterate therefore ends up with all d
 coordinates positive and a function value with a harmonic-sum (~ log d)
-lower bound, while the true minimum stays 0 at the origin.  Both Lipschitz
+lower bound, while the true minimum stays 0 at the origin.  All three
 families share one closed form, for any step sizes that keep the oracle on
 its intended pieces, that reads only the d step sizes of the kicked window
-(``_closed_form_block``), so a row of it costs O(d) memory whatever T is;
-the strongly convex family keeps its own, since the quadratic term changes
-the recursion.
+(``_closed_form_block``), so a row of it costs O(d) memory whatever T is.
 
 Three families are provided, differing in slope scale, kick depth and step
 schedule:
@@ -263,28 +261,33 @@ class AdversarialOracle:
         return _piece_grad(inst, i, x)
 
 
-def _kicked_window(inst: AdversarialInstance) -> tuple[np.ndarray, np.ndarray]:
-    """The schedule's step sizes eta_{q+1}..eta_T over the kicked window,
-    q = T-d, and their prefix sums W: the 2d+1 floats the closed form reads."""
+def _kicked_window(inst: AdversarialInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 3d+1 floats the closed form reads, from the schedule's step sizes
+    eta_k = eta_{q+k}, k = 1..d, over the kicked window, q = T-d: the
+    products P_k = prod_{i=2}^{k} (1 - c eta_i), with c = 1 in the
+    quadratic family and 0 otherwise (so every P_k is 1.0), the scaled
+    depths B_j = b_j eta_j / P_j, and V_m = sum_{k<=m} eta_k / P_k, V_0 = 0."""
     eta = inst.schedule().sizes(inst.T, first=inst.quiet_steps + 1)
-    return eta, np.concatenate(([0.0], np.cumsum(eta)))
+    P = np.cumprod(np.concatenate(([1.0], 1.0 - float(inst.quadratic) * eta[1:])))
+    return P, inst.depths * eta / P, np.concatenate(([0.0], np.cumsum(eta / P)))
 
 
 def _closed_form_block(inst: AdversarialInstance, t0: int, t1: int,
-                       window: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                       window: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Predicted iterates z_t for t in [t0, t1), 1 <= t0 < t1 <= T+2, as a
-    (t1-t0, d) array; ``window`` is ``_kicked_window(inst)``, (eta, W).
+    (t1-t0, d) array; ``window`` is ``_kicked_window(inst)``, (P, B, V).
 
-    z_t = 0 for t <= T-d+1.  For later t, with q = T-d, coordinate j is
-    nonzero exactly when j < t-q:
+    z_t = 0 for t <= T-d+1.  For later t, with q = T-d and m = t-1-q,
+    coordinate j is nonzero exactly when j <= m, and
 
-      sc:          z_{t,j} = (1 - (t-q-j-1) a_j) / (t-1)
-      Lipschitz:   z_{t,j} = b_j eta_{j+q} - a_j (W_{t-1-q} - W_j)
+      z_{t,j} = P_m (B_j - a_j (V_m - V_j)),
 
-    with W_m = eta_{q+1} + ... + eta_{q+m}: it holds for any step sizes that
-    keep the oracle on its intended pieces inside the ball, and needs O(d)
-    memory beside the block.  The formula runs on the kicked rows and the
-    columns j < t1-q-1 only, and is written under the triangular mask
+    the solution of x_{s+1,j} = (1 - c eta_s) x_{s,j} - eta_s a_j from the
+    kick x_{q+j+1,j} = b_j eta_{q+j}.  It holds for any step sizes that keep
+    the oracle on its intended pieces inside the ball, and needs O(d) memory
+    beside the block.  P starts at i = 2, so eta_{q+1} = 1 (d = T under
+    eta_t = 1/t) enters no product.  The formula runs on the kicked rows and
+    the columns j < t1-q-1 only, and is written under the triangular mask
     j < t-q; every other entry is +0.0.
     """
     q = inst.quiet_steps
@@ -292,13 +295,11 @@ def _closed_form_block(inst: AdversarialInstance, t0: int, t1: int,
     lo, w = max(t0, q + 2), t1 - q - 2     # first kicked row, support width
     if lo < t1:
         t = np.arange(lo, t1, dtype=float)[:, None]
-        j, a, b = np.arange(1.0, w + 1), inst.shared_slopes[:w], inst.depths[:w]
-        if inst.family == STRONGLY_CONVEX:
-            v = (1.0 - (t - q - j - 1.0) * a) / (t - 1.0)
-        else:
-            eta, W = window
-            v = b * eta[:w] - a * (W[lo - 1 - q:t1 - 1 - q, None] - W[1:w + 1])
-        np.copyto(z[lo - t0:, :w], v, where=j < t - q)
+        P, B, V = window
+        m = slice(lo - 1 - q, t1 - 1 - q)             # m = t-1-q of each row
+        v = B[:w] - inst.shared_slopes[:w] * (V[m, None] - V[1:w + 1])
+        v *= P[lo - 2 - q:t1 - 2 - q, None]           # P_m, stored from P_1 on
+        np.copyto(z[lo - t0:, :w], v, where=np.arange(1.0, w + 1) < t - q)
     return z
 
 

@@ -240,7 +240,7 @@ def long_run_suboptimality(trace: SgdTrace, burn_in: int = 0) -> float:
 def linear_profile(slope: float = 0.5):
     """f(x) = slope * x with 0 < slope <= 1."""
     if not 0.0 < slope <= 1.0:
-        raise ValueError("slope must be in (0, 1]")
+        raise ValueError(f"slope must be in (0, 1], got {slope}")
     return (lambda x: slope * x), (lambda x: slope)
 
 
@@ -268,9 +268,10 @@ PROFILES = {
 
 
 def profile(name: str, slope: float = 0.5):
-    """Look up a corpus profile; returns (f, subgradient) callables."""
+    """Look up a corpus profile; returns (f, subgradient) callables.  Only
+    the linear profile uses ``slope``, but every profile rejects one
+    outside (0, 1]."""
     if name not in PROFILES:
         raise ValueError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
-    if name == "linear":
-        return linear_profile(slope)
-    return PROFILES[name]()
+    linear = linear_profile(slope)
+    return linear if name == "linear" else PROFILES[name]()

@@ -192,6 +192,17 @@ def test_walk_method_power_iteration_is_a_usage_error(capsys):
     assert errors[0].startswith("lastiter walk: error: argument --method: invalid choice")
 
 
+@pytest.mark.parametrize("profile", ["linear", "quadratic"])
+@pytest.mark.parametrize("slope", ["nan", "0", "1.5"])
+def test_walk_slope_outside_unit_interval_is_a_usage_error(profile, slope, capsys):
+    # every profile rejects the slope, not only the linear one that uses it
+    with pytest.raises(SystemExit) as exc:
+        run(["walk", "--n", "5", "--profile", profile, "--slope", slope])
+    assert exc.value.code == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error" in l]
+    assert errors == [f"lastiter: error: slope must be in (0, 1], got {float(slope)}"]
+
+
 def test_mc_csv_and_json(tmp_path):
     out_csv = tmp_path / "mc.csv"
     args = ["mc", "--shape", "abs", "--epsilon", "0.5", "--T", "100",
@@ -337,16 +348,17 @@ def test_largest_T_with_exact_step_indices_passes(family, tmp_path):
 
 
 def test_lowerbound_memory_does_not_grow_with_T():
-    # the closed form reads the d step sizes of the kicked window; a prefix
-    # over all T steps would take 80 MB here
-    tracemalloc.start()
-    try:
-        rec = cli._closed_form_record("lip-dec", 2, 10 ** 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rec["pass"] is True
-    assert peak < 1 << 20, peak
+    # the closed form reads the d step sizes of the kicked window, in every
+    # family; a prefix over all T steps would take 80 MB here
+    for family in cli.cons.FAMILIES:
+        tracemalloc.start()
+        try:
+            rec = cli._closed_form_record(family, 2, 10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec["pass"] is True
+        assert peak < 1 << 20, (family, peak)
 
 
 def test_sweep_csv_curve_and_idempotence(tmp_path):

@@ -439,6 +439,25 @@ def test_engine_matches_closed_form(family, d, extra):
     assert live == recorded
 
 
+SCHEDULES = {
+    "inv_t": lambda inst: engine.StepSchedule("inv_t"),
+    "inv_sqrt_t": lambda inst: engine.StepSchedule("inv_sqrt_t"),
+    "constant": lambda inst: engine.StepSchedule("constant", value=1.0 / np.sqrt(inst.T)),
+}
+
+
+@pytest.mark.parametrize("family, kind", [("sc", "inv_t"), ("sc", "inv_sqrt_t"),
+                                          ("sc", "constant"), ("lip-dec", "inv_t"),
+                                          ("lip-fixed", "inv_t")])
+@pytest.mark.parametrize("d, T", [(1, 1), (7, 100), (64, 64), (256, 4096), (1024, 1024)])
+def test_one_closed_form_under_every_schedule_kind(family, kind, d, T, monkeypatch):
+    # the engine and the closed form both read inst.schedule(), so swapping
+    # it checks the one window formula against the recursion it solves
+    monkeypatch.setattr(cons.AdversarialInstance, "schedule", SCHEDULES[kind])
+    rep = cons.verify_instance(cons.build_instance(family, d, T), tol=1e-12)
+    assert rep.passed and rep.divergences == [], (rep.max_deviation, rep.first_mismatch)
+
+
 def test_verify_report_cuts_divergences_to_three():
     drift = [(t, t - 10, t - 9) for t in range(11, 16)]
     rep = cons.VerifyReport(family="sc", d=8, T=16, max_deviation=0.0,

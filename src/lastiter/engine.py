@@ -5,26 +5,26 @@ a step-size schedule evaluated a block of ``STEP_BLOCK`` sizes at a time,
 and a first-order oracle queried exactly once per step with the current
 point (or batch of points) and the 1-based step index.  There are two step
 loops.  :func:`sgd_steps` is the array loop: it streams a point or a batch
-with no history, and :func:`run_sgd` records every other path from the same
-loop.  A step whose answer is all +0.0 at a point the ball projection passed
-through does no arithmetic: the same array is yielded again (see
-:func:`sgd_steps`), so the long quiet prefix of a worst-case run, at the
-origin, costs one scan of each answer, and a recorded history, which starts
-as zeros, writes none of its rows.  The other loop is the float form of
-:func:`run_sgd`: a path on an :class:`Interval` whose oracle answers floats
-(a walk or a nearly linear path) steps in Python floats, bit for bit the
-array step, without the numpy call overhead of one-element arrays or a row
-store per step.
+with no history, and :func:`run_sgd` records every path off a plain
+:class:`Interval` from the same loop.  A step whose answer is all +0.0 at a
+point the ball projection passed through does no arithmetic: the same array
+is yielded again (see :func:`sgd_steps`), so the long quiet prefix of a
+worst-case run, at the origin, costs one scan of each answer, and a
+recorded history, which starts as zeros, writes none of its rows.  The
+other loop is the float form of :func:`run_sgd`: a path on a plain
+:class:`Interval` (a walk or a nearly linear path) asks its oracle for a
+float at a float and steps in Python floats, bit for bit the array step,
+without the numpy call overhead of one-element arrays or a row store per
+step.
 
 An oracle is any object with
 
     value(X) -> (k,) array       objective values at the k rows of a (k, d)
                                  block of points (used by run_sgd only)
-    subgradient(x, t) -> array   subgradient estimate at x for step t, shaped
-                                 like x (one row per point of a batch)
-    float_subgradient(x, t)      optional; the same estimate as a float, at
-      -> float                   a one-dimensional point given as a float
-                                 (the float form of run_sgd asks only this)
+    subgradient(x, t)            subgradient estimate at x for step t: an
+                                 array shaped like x (one row per point of a
+                                 batch), or a float at a float, which is
+                                 what run_sgd asks on a plain Interval
     reset(seed)                  optional; reseed internal randomness
 
 ``reset`` is called at the start of every run, so identical arguments
@@ -265,24 +265,20 @@ def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
     ValueError.
 
     Float form: on an :class:`Interval` (not a subclass, whose projection
-    may differ), an oracle with ``float_subgradient`` is asked for a float
-    at a float, and the path steps in Python floats, stored straight into
-    the history.  A step is the array step's operations on floats, with the
-    same finiteness check and error: a ``math.isfinite`` test of the answer,
-    ``x - eta*g`` and the clip.  The clip copies
-    ``np.minimum(hi, np.maximum(lo, y))``, which returns y, not the bound,
-    on a tie: a -0.0 y on a bound of +0.0 stays -0.0, and +0.0 on -0.0
-    stays +0.0.  So the bits are those of the array step, given answers of
-    the same bits.  Other oracles and feasible sets take the array step of
-    :func:`sgd_steps`.
+    may differ), the oracle is asked for a float at a float, and the path
+    steps in Python floats, stored straight into the history.  A step is
+    the array step's operations on floats, with the same finiteness check
+    and error: a ``math.isfinite`` test of the answer, ``x - eta*g`` and
+    the clip.  The clip copies ``np.minimum(hi, np.maximum(lo, y))``, which
+    returns y, not the bound, on a tie: a -0.0 y on a bound of +0.0 stays
+    -0.0, and +0.0 on -0.0 stays +0.0.  So the bits are those of the array
+    step, given answers of the same bits.  Other feasible sets take the
+    array step of :func:`sgd_steps`.
 
     History: ``iterates`` and ``gradients`` start as zeros.  The array step
-    writes a row unless the step yielded the same array as the step before
-    (a pass-through, or a projection that returns one buffer of its own)
-    and the row's bits are all +0.0, so the quiet prefix of a worst-case
-    run at the origin writes nothing.  A -0.0 entry, a NaN or any nonzero
-    entry is written, as is every row of an array the step has not
-    yielded before; the float form writes every row.
+    writes a row unless its bits are all +0.0, which the zeros already
+    hold, so the quiet prefix of a worst-case run at the origin writes
+    nothing; the float form writes every row.
     """
     if np.ndim(x1) > 1:
         raise ValueError(f"run_sgd records a single path; x1 has shape {np.shape(x1)}")
@@ -292,8 +288,8 @@ def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
     values = np.empty(T + 1)
     if np.count_nonzero(x.view(np.uint64)):     # x_1 = +0.0 leaves row 0 unwritten too
         iterates[0] = x
-    if type(feasible) is Interval and hasattr(oracle, "float_subgradient"):
-        answer = oracle.float_subgradient
+    if type(feasible) is Interval:
+        answer = oracle.subgradient
         lo, hi = float(feasible.lo), float(feasible.hi)
         xs, gs = iterates.reshape(-1), gradients.reshape(-1)    # views, one float a row
         xf = x.item(0)
@@ -308,14 +304,11 @@ def run_sgd(oracle, feasible, schedule: StepSchedule, x1, T: int,
                 y = hi
             xs[t] = xf = y
     else:
-        prev = None
         for t, g, x in _array_steps(oracle, feasible, etas, x):
-            # a repeated x whose row is all +0.0 bits leaves both rows unwritten
-            if x is not prev or np.count_nonzero(g.view(np.uint64)):
+            if np.count_nonzero(g.view(np.uint64)):     # all +0.0 bits: the zeros hold it
                 gradients[t - 1] = g
-            if x is not prev or np.count_nonzero(x.view(np.uint64)):
+            if np.count_nonzero(x.view(np.uint64)):
                 iterates[t] = x
-            prev = x
     rows = block_rows(x.shape[0])
     for s in range(0, T + 1, rows):
         block = iterates[s:s + rows]

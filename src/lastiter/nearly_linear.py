@@ -18,8 +18,8 @@ An instance holds one table of P[+G] per segment, ``segment_probs``, which
 :class:`NearlyLinearOracle` hands with the interior knots to
 :class:`TwoPointOracle`, the one oracle of both 1D studies (the grid walk's
 ``walk.GridSignOracle`` is the other caller).  It answers a float for a
-float (``float_subgradient``), so one path through ``engine.run_sgd``
-steps in Python floats end to end.
+float, so one path through ``engine.run_sgd`` steps in Python floats end
+to end.
 
 A clipped +/-eta*G walk visits only O(sqrt(T)) distinct floats, so paths
 do not run through the engine: :func:`transition_table` lists the floats a
@@ -573,24 +573,19 @@ class TwoPointOracle:
     ``probs[i]``, where i counts the ``cuts`` <= x, and -G otherwise.
 
     ``stream(seed)`` makes the uniform stream at the first query after
-    ``reset``; ``f`` maps a (k,) array of points to their values.  A query
-    is decided in Python floats, by one private draw-and-compare step that
-    both forms share: a ``bisect_right`` over the cuts and a list of TILE
-    uniforms, the doubles of one ``random()`` call per TILE steps.
-    :meth:`float_subgradient` answers a float for a float, which is what the
-    engine's float form asks; :meth:`subgradient` answers a point of shape
-    (1,) with a read-only (1,) array of the same bits and refuses a batch.
-    :meth:`plus_prob` answers an array of points, with one ``searchsorted``
-    by the same rule (:func:`transition_table` reads it)."""
+    ``reset``; ``f`` maps a (k,) array of points to their values.
+    :meth:`subgradient` answers a float for a float, which is what the
+    engine's float form asks, decided in Python floats: a ``bisect_right``
+    over the cuts and a list of TILE uniforms, the doubles of one
+    ``random()`` call per TILE steps.  :meth:`plus_prob` answers an array
+    of points, with one ``searchsorted`` by the same rule
+    (:func:`transition_table` reads it)."""
 
     def __init__(self, cuts, probs, grad_bound: float, stream, f):
         self._cuts = np.asarray(cuts, dtype=float).tolist()
         self._probs = np.asarray(probs, dtype=float)
         self._prob_list = self._probs.tolist()
-        answers = np.array([-grad_bound, grad_bound])
-        self._float_down, self._float_up = answers.tolist()
-        answers.setflags(write=False)
-        self._down, self._up = answers[:1], answers[1:]
+        self._down, self._up = -float(grad_bound), float(grad_bound)
         self._make_stream = stream
         self._f = f
         self.reset(0)
@@ -608,9 +603,9 @@ class TwoPointOracle:
         """P[+G] at each point of an array x, shaped like x."""
         return self._probs.take(np.searchsorted(self._cuts, x, side="right"))
 
-    def _plus(self, x: float) -> bool:
-        """Whether this step answers +G at x: its uniform, the next of the
-        stream, is below P[+G] at x."""
+    def subgradient(self, x: float, t: int) -> float:
+        """+G when this step's uniform, the next of the stream, is below
+        P[+G] at x, else -G."""
         if self._col == TILE:  # the stream's next TILE uniforms
             if self._stream is None:
                 self._stream = self._make_stream(self._seed)
@@ -618,16 +613,9 @@ class TwoPointOracle:
             self._col = 0
         col = self._col
         self._col = col + 1
-        return self._uniforms[col] < self._prob_list[bisect_right(self._cuts, x)]
-
-    def float_subgradient(self, x: float, t: int) -> float:
-        return self._float_up if self._plus(x) else self._float_down
-
-    def subgradient(self, x, t: int) -> np.ndarray:
-        if x.ndim != 1:
-            raise ValueError(f"TwoPointOracle answers one point of shape (1,), "
-                             f"got shape {x.shape}")
-        return self._up if self._plus(x.item(0)) else self._down
+        if self._uniforms[col] < self._prob_list[bisect_right(self._cuts, x)]:
+            return self._up
+        return self._down
 
 
 class NearlyLinearOracle(TwoPointOracle):

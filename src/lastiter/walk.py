@@ -17,8 +17,9 @@ computed here in log space, and its expected objective value is bounded by
 (2 + 24e)/n.
 
 The walk runs as that SGD through the engine (:func:`simulate_chain_sgd`)
-with :class:`GridSignOracle`, the nearly linear study's two-point oracle,
-which answers a float for a float, so the run steps in Python floats.
+with :class:`GridSignOracle`, the nearly linear study's two-point oracle:
+on the plain ``Interval(0, 1)`` the engine asks its ``subgradient`` for a
+float at a float, so the run steps in Python floats.
 Objectives and subgradients map an array of points elementwise, as the
 :data:`PROFILES` do, and are called once per grid or block of values.
 """
@@ -206,9 +207,10 @@ def suboptimality_bound(n: int) -> float:
 # simulation through the SGD engine (the chain is fixed-step SGD in disguise)
 
 class GridSignOracle(TwoPointOracle):
-    """Restricted oracle answering +/-1, P[+1] = a_i at x = i/n: i counts the
-    midpoints (k + 1/2)/n <= x, the uniforms come from ``default_rng(seed)``,
-    and ``f`` maps an array of points to their values."""
+    """Restricted oracle answering the float +1 or -1 at a float x, P[+1] =
+    a_i at x = i/n: i counts the midpoints (k + 1/2)/n <= x, the uniforms
+    come from ``default_rng(seed)``, and ``f`` maps an array of points to
+    their values."""
 
     def __init__(self, chain: WalkChain, f: Callable[[np.ndarray], np.ndarray]):
         super().__init__((np.arange(chain.n) + 0.5) / chain.n, chain.left_probs, 1.0,

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lastiter import engine as eng
+from lastiter import nearly_linear as nl
+from lastiter import walk as wk
 
 
 class ZeroOracle:
@@ -27,7 +29,7 @@ class LinearOracle:
         return np.asarray(X)[:, 0].copy()
 
     def subgradient(self, x, t):
-        return np.array([1.0])
+        return 1.0
 
 
 class CoinOracle:
@@ -43,7 +45,7 @@ class CoinOracle:
         return np.zeros(len(X))
 
     def subgradient(self, x, t):
-        return np.array([1.0 if self._rng.random() < 0.5 else -1.0])
+        return 1.0 if self._rng.random() < 0.5 else -1.0
 
 
 # ---------------------------------------------------------------- schedules
@@ -206,11 +208,8 @@ def test_projection_clamps_linear_descent():
     np.testing.assert_array_equal(tr.iterates[:, 0], [0.0, -0.5, -1.0, -1.0])
     np.testing.assert_array_equal(tr.values, [0.0, -0.5, -1.0, -1.0])
 
-    class ScalarOracle(LinearOracle):  # a plain float answers a d = 1 query
-        def subgradient(self, x, t):
-            return 1.0
-
-    sc = eng.run_sgd(ScalarOracle(), eng.Interval(-1.0, 1.0),
+    # on an Interval subclass the array step takes a plain float at d = 1
+    sc = eng.run_sgd(LinearOracle(), Subinterval(-1.0, 1.0),
                      eng.StepSchedule("constant", value=0.5),
                      np.array([0.0]), T=3)
     np.testing.assert_array_equal(sc.iterates, tr.iterates)
@@ -385,16 +384,22 @@ def test_one_oracle_call_per_step_with_pass_through():
 
 
 # ------------------------------------------------------------ float form
-# run_sgd records a path on an Interval in Python floats when its oracle has
-# float_subgradient; sgd_steps takes the array step for a (1,) point and for
-# a (1, 1) batch, and so does run_sgd for any other oracle.  All must give
-# the same bits, above all where x - eta*g lands on a signed zero at a zero
-# bound: np.maximum(lo, y) and np.minimum(hi, y) return y on a tie, not the
-# bound.
+# run_sgd records a path on a plain Interval in Python floats, asking its
+# oracle for a float at a float; sgd_steps takes the array step for a (1,)
+# point and for a (1, 1) batch, and so does run_sgd on an Interval subclass.
+# All must give the same bits, above all where x - eta*g lands on a signed
+# zero at a zero bound: np.maximum(lo, y) and np.minimum(hi, y) return y on
+# a tie, not the bound.
 
-class ArrayScript:
-    """Answers the t-th float of a script, shaped like the point asked, and
-    records the steps it was asked for."""
+class Subinterval(eng.Interval):
+    """An Interval subclass, whose projection may differ: run_sgd takes the
+    array step on it."""
+
+
+class ShapedScript:
+    """Answers the t-th float of a script, as a float at a float and as an
+    array shaped like any other point asked, and records the steps of each
+    kind apart."""
 
     def __init__(self, script):
         self.script = script
@@ -405,21 +410,14 @@ class ArrayScript:
         self.float_calls = []
 
     def subgradient(self, x, t):
+        if type(x) is float:
+            self.float_calls.append(t)
+            return self.script[t - 1]
         self.calls.append(t)
         return np.full(x.shape, self.script[t - 1])
 
     def value(self, X):
         return np.zeros(len(X))
-
-
-class ShapedScript(ArrayScript):
-    """ArrayScript that also answers the script as a float at a float, and
-    records those steps apart."""
-
-    def float_subgradient(self, x, t):
-        assert type(x) is float
-        self.float_calls.append(t)
-        return self.script[t - 1]
 
 
 _ZERO_BOUNDS = [(-0.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (-1.0, -0.0)]
@@ -429,15 +427,17 @@ _ANSWERS = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 4.0, -4.0, 5e-324, -5e-3
 def _float_and_array_runs(oracle, interval, schedule, x1, T):
     """Bytes of (g, x) at every step of three runs: the array step of
     sgd_steps from a (1,) point and from a (1, 1) batch, and the rows run_sgd
-    records from the (1,) point, in its float form when the oracle has
-    float_subgradient (checked: it is asked only that), else by the array
-    step."""
+    records from the (1,) point, in its float form on a plain Interval
+    (checked: the oracle is asked only floats), else by the array step."""
     runs = [[(None if g is None else g.tobytes(), x.tobytes())
              for _, g, x in eng.sgd_steps(oracle, interval, schedule, np.full(shape, x1), T)]
             for shape in ((1,), (1, 1))]
     tr = eng.run_sgd(oracle, interval, schedule, np.full((1,), x1), T)
-    if hasattr(oracle, "float_subgradient"):
-        assert oracle.float_calls == list(range(1, T + 1)) and oracle.calls == []
+    steps = list(range(1, T + 1))
+    if type(interval) is eng.Interval:
+        assert oracle.float_calls == steps and oracle.calls == []
+    else:
+        assert oracle.calls == steps and oracle.float_calls == []
     runs.append([(None, tr.iterates[0].tobytes())]
                 + [(g.tobytes(), x.tobytes()) for g, x in zip(tr.gradients, tr.iterates[1:])])
     return runs
@@ -467,9 +467,6 @@ def test_float_form_matches_the_array_step_on_raw_bits(bounds):
 def test_float_capable_oracle_takes_the_array_step_off_a_plain_interval():
     # an Interval subclass may project otherwise, and a (1, 1) batch streams
     # through sgd_steps: both take the array step, with the float form's bits
-    class Subinterval(eng.Interval):
-        pass
-
     sched, script = eng.StepSchedule("inv_t"), [0.5, -2.0, 5e-324, -0.0, 4.0, 0.25]
     T = len(script)
     plain = eng.run_sgd(ShapedScript(script), eng.Interval(-1.0, 1.0), sched, np.zeros(1), T)
@@ -485,13 +482,13 @@ def test_float_capable_oracle_takes_the_array_step_off_a_plain_interval():
 
 
 def test_run_sgd_array_step_on_an_interval_steps_from_x_as_the_oracle_left_it():
-    class Nudging(ArrayScript):
+    class Nudging(ShapedScript):
         def subgradient(self, x, t):
             x[...] = 0.25 * t           # an oracle that writes into its query
             return super().subgradient(x, t)
 
     single, batch, recorded = _float_and_array_runs(
-        Nudging([0.5, -0.5, 1.0]), eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"), 0.0, 3)
+        Nudging([0.5, -0.5, 1.0]), Subinterval(-1.0, 1.0), eng.StepSchedule("inv_t"), 0.0, 3)
     assert single == batch == recorded
     assert single[1][1] == np.array([0.25 - 0.5]).tobytes()
 
@@ -500,12 +497,13 @@ def test_run_sgd_array_step_on_an_interval_steps_from_x_as_the_oracle_left_it():
 def test_run_sgd_array_step_on_an_interval_keeps_an_answer_that_is_the_query(answer):
     # an answer that shares the point it was asked about is recorded as it
     # was given, not as the point moves on
-    class Echo(ArrayScript):
+    class Echo(ShapedScript):
         def subgradient(self, x, t):
+            self.calls.append(t)
             return answer(x)
 
     single, batch, recorded = _float_and_array_runs(
-        Echo([]), eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"), 0.75, 5)
+        Echo([]), Subinterval(-1.0, 1.0), eng.StepSchedule("inv_t"), 0.75, 5)
     assert single == batch == recorded
     assert all(g == x for (_, x), (g, _) in zip(single, single[1:]))   # g_t = x_t
 
@@ -563,20 +561,67 @@ def test_run_sgd_array_step_on_an_interval_rejects_a_wrong_shape():
             list(eng.sgd_steps(Wide(), eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"),
                                np.zeros(shape), T=2))
     with pytest.raises(ValueError, match=re.escape("oracle returned shape (3,), expected (1,)")):
-        eng.run_sgd(Wide(), eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"), np.zeros(1), T=2)
+        eng.run_sgd(Wide(), Subinterval(-1.0, 1.0), eng.StepSchedule("inv_t"), np.zeros(1), T=2)
 
 
 def test_run_sgd_array_step_on_an_interval_takes_a_0d_answer():
-    class Scalar(ArrayScript):
+    class Scalar(ShapedScript):
         def subgradient(self, x, t):
             return np.float64(super().subgradient(x, t)[0])
 
     iv, sched, script = eng.Interval(-1.0, 1.0), eng.StepSchedule("inv_t"), [0.5, -2.0, 0.25]
-    tr = eng.run_sgd(Scalar(script), iv, sched, np.zeros(1), T=3)
+    tr = eng.run_sgd(Scalar(script), Subinterval(-1.0, 1.0), sched, np.zeros(1), T=3)
     streamed = [x.tobytes() for _, _, x in eng.sgd_steps(Scalar(script), iv, sched,
                                                           np.zeros(1), T=3)]
     assert [x.tobytes() for x in tr.iterates] == streamed
     assert tr.gradients.ravel().tolist() == script
+
+
+class Forwarding:
+    """Forwards ``reset``, ``value`` and ``subgradient`` to an oracle, as a
+    timing proxy does, and records the type of every point asked."""
+
+    def __init__(self, oracle):
+        self._oracle, self.asked = oracle, set()
+
+    def reset(self, seed):
+        self._oracle.reset(seed)
+
+    def value(self, X):
+        return self._oracle.value(X)
+
+    def subgradient(self, x, t):
+        self.asked.add(type(x))
+        return self._oracle.subgradient(x, t)
+
+
+def _grid_sign_run():
+    chain = wk.make_chain(np.linspace(0.5, 1.0, 41))
+    return (lambda: wk.GridSignOracle(chain, abs), eng.Interval(0.0, 1.0),
+            eng.StepSchedule("constant", value=1.0 / 40), 1.0)
+
+
+def _nearly_linear_run():
+    inst = nl.build_nearly_linear("asym_abs", 2.0, 1.0, 0.5, band_ratio=0.5)
+    return (lambda: nl.NearlyLinearOracle(inst, trial=3), eng.Interval(inst.lo, inst.hi),
+            eng.StepSchedule("constant", value=0.05), 0.5)
+
+
+@pytest.mark.parametrize("run", [_grid_sign_run, _nearly_linear_run],
+                         ids=["grid_sign", "nearly_linear"])
+def test_a_forwarding_oracle_runs_the_float_form_of_the_bare_oracle(run):
+    # a wrapper with only the protocol's methods is asked Python floats on a
+    # plain Interval and records the bare oracle's trace bit for bit, across
+    # tile edges of the two-point oracle's uniforms
+    make, iv, sched, x1 = run()
+    T = 2 * nl.TILE + 1
+    bare = eng.run_sgd(make(), iv, sched, np.array([x1]), T, seed=5)
+    proxy = Forwarding(make())
+    wrapped = eng.run_sgd(proxy, iv, sched, np.array([x1]), T, seed=5)
+    assert proxy.asked == {float}
+    for name in ("iterates", "gradients", "values"):
+        assert getattr(wrapped, name).tobytes() == getattr(bare, name).tobytes(), name
+    assert set(bare.gradients[:, 0].tolist()) == {-1.0, 1.0}
 
 
 def test_ball_project_returns_an_inside_point_itself():

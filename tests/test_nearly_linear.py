@@ -177,10 +177,6 @@ def test_oracle_draws_are_bounded_and_unbiased():
     band = (inst.band_ratio * inst.epsilon * inst.grad_bound,
             inst.epsilon * inst.grad_bound)
     assert band[0] - 4 * se <= abs(mean) <= band[1] + 4 * se
-    # the engine oracle answers one point at a time; batches step through
-    # simulate_paths' table
-    with pytest.raises(ValueError, match="one point"):
-        nl.NearlyLinearOracle(inst).subgradient(np.full((4, 1), x), 1)
 
 
 def _grid_sign_oracle(n=7):
@@ -204,30 +200,24 @@ def _instance_oracle(make, trial=3):
                          ids=["grid_sign", "abs", "asym_abs", "many_knot"])
 @pytest.mark.parametrize("T", [nl.TILE - 1, nl.TILE, nl.TILE + 1, 2 * nl.TILE + 1])
 def test_float_answers_are_the_array_answers_step_for_step(oracles, T):
-    # one oracle answers floats, one arrays and one alternates, from the same
-    # seed, at every cut, its neighbouring floats, both zeros and both ends;
-    # all three answer +G exactly when the step's uniform is below the P[+G]
-    # of the searchsorted index, across tile edges and a second reset
+    # the oracle answers a float for a float at every cut, its neighbouring
+    # floats, both zeros and both ends; it answers +G exactly where the
+    # step's uniform, drawn from the same stream, is below the array answer
+    # of plus_prob (the P[+G] of the searchsorted index), across tile edges
+    # and a second reset
     make, cuts, probs, G, stream, lo, hi = oracles()
     points = np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
                              [0.0, -0.0, lo, hi]])
-    floats, arrays, mixed = make(), make(), make()
+    oracle = make()
     for seed in (11, 12):
-        for oracle in (floats, arrays, mixed):
-            oracle.reset(seed)
+        oracle.reset(seed)
         xs = points[np.arange(1, T + 1) % points.size]
-        want = np.where(stream(seed).random(T) < probs[np.searchsorted(cuts, xs, side="right")],
-                        G, -G)
-        got = []
-        for t, x in enumerate(xs.tolist(), start=1):
-            g = floats.float_subgradient(x, t)
-            a = arrays.subgradient(np.array([x]), t)
-            m = (mixed.float_subgradient(x, t) if t % 2 else
-                 mixed.subgradient(np.array([x]), t).item(0))
-            assert type(g) is float
-            assert np.array([g]).tobytes() == a.tobytes() == np.array([m]).tobytes(), (seed, t)
-            got.append(g)
-        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+        p = oracle.plus_prob(xs)
+        assert p.tobytes() == probs[np.searchsorted(cuts, xs, side="right")].tobytes()
+        want = np.where(stream(seed).random(T) < p, G, -G)
+        got = [oracle.subgradient(x, t) for t, x in enumerate(xs.tolist(), start=1)]
+        assert all(type(g) is float for g in got)
+        assert np.array(got).tobytes() == want.tobytes(), seed
         assert set(got) == {G, -G}
 
 

@@ -259,10 +259,10 @@ def test_grid_oracle_reads_a_i_at_every_grid_point():
     # at every grid point i/n and at the floats next to it; the a_i differ
     for n in (1, 7, 100, 4000):
         ch = wk.make_chain(np.linspace(0.5, 1.0, n + 1))
-        oracle = wk.GridSignOracle(ch, abs)
         grid = np.arange(n + 1) / n
-        for x in np.concatenate([grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0)]):
-            assert oracle.plus_prob(np.array([x])) == ch.left_probs[round(x * n)]
+        xs = np.concatenate([grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0)])
+        got = wk.GridSignOracle(ch, abs).plus_prob(xs)
+        assert np.array_equal(got, ch.left_probs[np.rint(xs * n).astype(np.intp)])
 
 
 def test_simulated_walk_is_the_clipped_sign_loop():

@@ -15,7 +15,11 @@ constant; all are written to slopes.json, with null for a family that ran
 fewer than two dimensions d >= 2.
 
 Exit status: the worst exit status of the sweeps (0 when every trajectory
-verifies), or 2 with one error line when --out-dir cannot be made or written.
+verifies), or 2 with one error line: before --out-dir is made for a --T
+below 1 or a --dims that is not a comma list of integers or whose smallest
+d is below 1 or above --T, and when --out-dir cannot be made or written.
+The argument types and the exit-2 guard are those of the ``lastiter``
+command line.
 
 Usage:
     python scripts/bound_vs_dimension.py --T 4096 --out-dir results/
@@ -51,17 +55,19 @@ def log_d_slope(curve_path: Path, family: str, T: int) -> float | None:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--T", type=int, default=4096)
-    ap.add_argument("--dims", default="1,2,4,8,16,32,64")
+    ap.add_argument("--T", type=cli.positive_int, default=4096)
+    ap.add_argument("--dims", type=cli.int_list, default="1,2,4,8,16,32,64")
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
-    try:
+    with cli.usage_errors(ap):
         return study(args)
-    except OSError as exc:
-        ap.error(str(exc))
 
 
 def study(args) -> int:
+    dims = ",".join(map(str, args.dims))
+    if not 1 <= min(args.dims) <= args.T:
+        raise ValueError(f"--dims must be >= 1 and hold some d <= --T, got "
+                         f"--dims {dims} and --T {args.T}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     status = 0
@@ -70,7 +76,7 @@ def study(args) -> int:
         sweep_path = out_dir / f"sweep_{family}.csv"
         curve_path = out_dir / f"curve_{family}.csv"
         code = cli.main([
-            "sweep", "--family", family, "--d", args.dims, "--T", str(args.T),
+            "sweep", "--family", family, "--d", dims, "--T", str(args.T),
             "--out", str(sweep_path), "--curve-out", str(curve_path),
         ])
         print(f"{family}: wrote {sweep_path} and {curve_path} (exit {code})")

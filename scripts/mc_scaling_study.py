@@ -8,9 +8,10 @@ the walk is genuinely stochastic and the scaled means stay flat; epsilon
 close to 1 degenerates the two-point oracle toward a deterministic zigzag.
 
 Exit status: 0 on success, 2 with one error line for an input the study
-cannot serve (a bad horizon list, epsilon outside (0, 1], fewer than 100
-trials, a seed outside [0, 2^64), an unwritable --out, too many trials for
-memory).
+cannot serve (a bad horizon list or a horizon below 1, epsilon outside
+(0, 1], fewer than 100 trials, a seed outside [0, 2^64), an unwritable
+--out, too many trials for memory).  The argument types and the exit-2
+guard are those of the ``lastiter`` command line.
 
 Usage:
     python scripts/mc_scaling_study.py --epsilon 0.5 --trials 10000
@@ -24,16 +25,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from lastiter import cli  # noqa: E402
 from lastiter import nearly_linear as nl  # noqa: E402
-from lastiter.cli import attach_negative_numbers  # noqa: E402
-
-
-def horizon_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a comma-separated list of integers: {text!r}") from None
 
 
 def main() -> int:
@@ -41,19 +34,14 @@ def main() -> int:
     ap.add_argument("--shape", choices=nl.SHAPES, default="abs")
     ap.add_argument("--epsilon", type=float, default=0.5)
     ap.add_argument("--band-ratio", type=float, default=1.0)
-    ap.add_argument("--horizons", type=horizon_list, default="100,400,1600,6400")
+    ap.add_argument("--horizons", type=cli.int_list, default="100,400,1600,6400")
     ap.add_argument("--trials", type=int, default=10_000)
     ap.add_argument("--x0", type=float, default=None)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=cli.seed_int, default=0)
     ap.add_argument("--out", default=None, help="optional JSON output path")
-    args = ap.parse_args(attach_negative_numbers(sys.argv[1:]))
-    try:
+    args = ap.parse_args(cli.attach_negative_numbers(sys.argv[1:]))
+    with cli.usage_errors(ap):
         return study(args)
-    except (ValueError, OSError) as exc:
-        ap.error(str(exc))
-    except MemoryError as exc:
-        # numpy's message says what it could not allocate; a bare one is empty
-        ap.error(str(exc) or "out of memory")
 
 
 def study(args) -> int:
@@ -61,7 +49,8 @@ def study(args) -> int:
     x0 = args.x0 if args.x0 is not None else inst.hi
     if args.trials < nl.MIN_TRIALS:
         raise ValueError(f"need at least {nl.MIN_TRIALS} trials for a stable mean")
-    nl.trial_stream(args.seed, 0)   # a seed outside [0, 2^64) fails before any row
+    if min(args.horizons) < 1:
+        raise ValueError(f"--horizons must all be >= 1, got {min(args.horizons)}")
     rows = []
     print(f"{'T':>6} {'mean':>12} {'mean*sqrtT':>12} {'se':>10} {'never':>6} {'rate':>8}")
     for T in args.horizons:

@@ -5,17 +5,23 @@ Subcommands: lowerbound, verify, certify, walk, mc, sweep.  Every one takes
 flat key=value file whose values explicit flags override.  --format csv|json is taken by lowerbound,
 verify, walk and mc (certify writes JSON, sweep CSV), --seed N, an integer
 in [0, 2^64), by certify and mc, and --jobs N by sweep; the default worker
-count honors the LASTITER_JOBS environment variable.  Exit status: 0 when
-every embedded check passes, 1 with a machine-readable failure report on
-stderr otherwise, 2 for usage errors (an input too large to fit in memory is
-one).  A sweep checks its inputs before any job runs; a job that then
-raises anything but ``MemoryError``, or whose worker process dies under
-``--jobs``, becomes a failing row whose report carries the error text.
+count honors the LASTITER_JOBS environment variable.
+
+The exit contract lives here once: ``_write_result`` writes the record of
+every subcommand but sweep and gives 0 when every embedded check passes, 1
+with a machine-readable failure report on stderr otherwise; ``usage_errors``
+makes a ``ValueError``, ``OSError`` or ``MemoryError`` (an input too large
+for memory) exit 2 with one error line.  ``main`` and both experiment
+scripts use that guard and the argument types below.  A sweep checks its
+inputs before any job runs; a job that then raises anything but
+``MemoryError``, or whose worker process dies under ``--jobs``, becomes a
+failing row whose report carries the error text.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -49,10 +55,6 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit_json(obj, out: str | None) -> None:
-    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
-
-
 def _emit_csv(header, rows, out: str | None) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -64,8 +66,16 @@ def _fail(report) -> int:
     return 1
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _write_result(args, rec: dict, header=None, rows=None) -> int:
+    """Write a subcommand's record: under ``--format csv`` the ``rows``
+    (default: the record's ``header`` cells as one row), else the record as
+    JSON.  Then 0, or 1 with the one-record failure report when the record
+    has ``"pass": false``."""
+    if getattr(args, "format", "json") == "csv":
+        _emit_csv(header, rows or [tuple(rec[h] for h in header)], args.out)
+    else:
+        _write_text(json.dumps(rec, indent=2, sort_keys=True) + "\n", args.out)
+    return 0 if rec.get("pass", True) else _fail([rec])
 
 
 def _closed_form_record(family: str, d: int, T: int) -> dict:
@@ -123,30 +133,23 @@ def _pool_sweep(jobs: list, workers: int) -> list[dict]:
     return results
 
 
-_CURVE_VALUES = ("final_suboptimality", "bound")
+_CURVE_HEADER = ("d", "final_suboptimality", "bound")
 
 
-def emit_curve(results: list[dict], x_axis: str = "d") -> tuple[list[str], list[tuple]]:
-    """Rows (x, final_suboptimality, bound) sorted by the chosen axis."""
-    if x_axis not in ("d", "T"):
-        raise ValueError("x_axis must be 'd' or 'T'")
+def emit_curve(results: list[dict]) -> tuple[list[str], list[tuple]]:
+    """Rows (d, final_suboptimality, bound) sorted by d."""
     if not results:
         raise ValueError("empty results; nothing to emit")
-    rows = sorted((r[x_axis], r["final_value"], r["bound"]) for r in results)
-    return [x_axis, *_CURVE_VALUES], rows
+    rows = sorted((r["d"], r["final_value"], r["bound"]) for r in results)
+    return list(_CURVE_HEADER), rows
 
 
 # --------------------------------------------------------------------------
 # subcommand implementations
 
 def cmd_lowerbound(args) -> int:
-    rec = _closed_form_record(args.family, args.d, args.T)
-    if args.format == "csv":
-        header = ["family", "d", "T", "final_value", "bound", "ratio", "pass"]
-        _emit_csv(header, [tuple(rec[h] for h in header)], args.out)
-    else:
-        _emit_json(rec, args.out)
-    return 0 if rec["pass"] else _fail([rec])
+    return _write_result(args, _closed_form_record(args.family, args.d, args.T),
+                         ["family", "d", "T", "final_value", "bound", "ratio", "pass"])
 
 
 def cmd_verify(args) -> int:
@@ -154,13 +157,8 @@ def cmd_verify(args) -> int:
         from .engine import trace_to_csv
         inst = cons.build_instance(args.family, args.d, args.T)
         trace_to_csv(cons.run_on_instance(inst), args.dump_trace)
-    rec = _verify_point((args.family, args.d, args.T, args.tol))
-    if args.format == "csv":
-        header = ["family", "d", "T", "max_deviation", "final_value", "bound", "pass"]
-        _emit_csv(header, [tuple(rec[h] for h in header)], args.out)
-    else:
-        _emit_json(rec, args.out)
-    return 0 if rec["pass"] else _fail([rec])
+    return _write_result(args, _verify_point((args.family, args.d, args.T, args.tol)),
+                         ["family", "d", "T", "max_deviation", "final_value", "bound", "pass"])
 
 
 def cmd_certify(args) -> int:
@@ -169,11 +167,9 @@ def cmd_certify(args) -> int:
     if inst.quadratic:
         checks.append(cons.check_strong_convexity(
             inst, alpha=1.0, samples=args.samples, seed=args.seed))
-    rec = {"family": args.family, "d": args.d, "T": args.T,
-           "checks": [c.to_dict() for c in checks],
-           "pass": all(c.passed for c in checks)}
-    _emit_json(rec, args.out)
-    return 0 if rec["pass"] else _fail([rec])
+    return _write_result(args, {"family": args.family, "d": args.d, "T": args.T,
+                                "checks": [c.to_dict() for c in checks],
+                                "pass": all(c.passed for c in checks)})
 
 
 def cmd_walk(args) -> int:
@@ -188,14 +184,11 @@ def cmd_walk(args) -> int:
     summary = {"n": args.n, "profile": args.profile, "method": res.method,
                "residual": res.residual, "suboptimality": sub,
                "bound_value": bound, "pass": bool(sub <= bound)}
-    if args.format == "csv":
-        header = ["i", "x", "a_i", "p_i", "f_x"]
-        rows = [(i, i / args.n, chain.left_probs[i], res.p[i], fx)
-                for i, fx in enumerate(f(chain.grid))]
-        _emit_csv(header, rows, args.out)
-    else:
-        _emit_json(summary, args.out)
-    return 0 if summary["pass"] else _fail([summary])
+
+    def rows():
+        for i, fx in enumerate(f(chain.grid)):
+            yield i, i / args.n, chain.left_probs[i], res.p[i], fx
+    return _write_result(args, summary, ["i", "x", "a_i", "p_i", "f_x"], rows())
 
 
 def cmd_mc(args) -> int:
@@ -214,22 +207,18 @@ def cmd_mc(args) -> int:
     except ValueError as exc:
         tail_rows, rate, tail_status = [], None, str(exc)
         sys.stderr.write(f"tail fit unavailable: {exc}\n")
-    if args.format == "csv":
-        header = ["trial", "final_x", "final_suboptimality", "last_visit_t", "hit_S"]
-        rows = [(i, stats.final_x[i], stats.final_subopt[i],
-                 int(stats.last_visit[i]), int(stats.last_visit[i] >= 0))
-                for i in range(stats.trials)]
-        _emit_csv(header, rows, args.out)
-    else:
-        summary = {"shape": args.shape, "T": args.T, "trials": args.trials,
-                   "seed": args.seed, "x0": x0, "mean": mean, "se": se,
-                   "never_hit": stats.never_hit_count,
-                   # P[+G] of 0 or 1 on a segment: the oracle is deterministic there
-                   "oracle_degenerate": bool(np.isin(inst.segment_probs, (0.0, 1.0)).any()),
-                   "tail": tail_rows, "fitted_rate": rate,
-                   "tail_fit_status": tail_status}
-        _emit_json(summary, args.out)
-    return 0
+    summary = {"shape": args.shape, "T": args.T, "trials": args.trials,
+               "seed": args.seed, "x0": x0, "mean": mean, "se": se,
+               "never_hit": stats.never_hit_count,
+               # P[+G] of 0 or 1 on a segment: the oracle is deterministic there
+               "oracle_degenerate": bool(np.isin(inst.segment_probs, (0.0, 1.0)).any()),
+               "tail": tail_rows, "fitted_rate": rate,
+               "tail_fit_status": tail_status}
+    rows = ((i, stats.final_x[i], stats.final_subopt[i],
+             int(stats.last_visit[i]), int(stats.last_visit[i] >= 0))
+            for i in range(stats.trials))
+    return _write_result(args, summary, ["trial", "final_x", "final_suboptimality",
+                                         "last_visit_t", "hit_S"], rows)
 
 
 def cmd_sweep(args) -> int:
@@ -254,8 +243,7 @@ def cmd_sweep(args) -> int:
     done = [r for r in results if "error" not in r]
     if args.curve_out:
         # header only when every job failed, so no earlier curve is left there
-        chead, crows = (emit_curve(done, x_axis=args.x_axis) if done
-                        else ([args.x_axis, *_CURVE_VALUES], []))
+        chead, crows = emit_curve(done) if done else (_CURVE_HEADER, [])
         _emit_csv(chead, crows, args.curve_out)
     bad = [r for r in results if not r["pass"]]
     if bad:
@@ -275,14 +263,27 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
+def int_list(text: str) -> list[int]:
+    """A comma-separated list of integers; empty items are skipped, but at
+    least one integer must remain."""
+    try:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}")
+    return values
+
+
+def positive_int(text: str) -> int:
     value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
-def _seed(text: str) -> int:
+def seed_int(text: str) -> int:
     """A --seed value: one 64-bit key word of a Philox stream (mc) or a
     ``default_rng`` seed (certify), so an integer in [0, 2^64)."""
     value = _int(text)
@@ -299,11 +300,11 @@ def _add_common(p, *, fmt=False, seed=False, jobs=False):
     if fmt:
         p.add_argument("--format", choices=("csv", "json"), default="json")
     if seed:
-        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--seed", type=seed_int, default=0)
     if jobs:
-        # a string default goes through _positive_int too, so a bad
+        # a string default goes through positive_int too, so a bad
         # $LASTITER_JOBS is a usage error like a bad --jobs
-        p.add_argument("--jobs", type=_positive_int,
+        p.add_argument("--jobs", type=positive_int,
                        default=os.environ.get(JOBS_ENV, "1"),
                        help=f"worker processes, >= 1 (default from ${JOBS_ENV} or 1)")
 
@@ -362,11 +363,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="verify + bound over a (family, d, T) grid")
     p.add_argument("--family", choices=cons.FAMILIES + ("all",), required=True)
-    p.add_argument("--d", type=_int_list, required=True, help="comma list, e.g. 1,2,4")
-    p.add_argument("--T", type=_int_list, required=True, help="comma list, e.g. 64,1024")
+    p.add_argument("--d", type=int_list, required=True, help="comma list, e.g. 1,2,4")
+    p.add_argument("--T", type=int_list, required=True, help="comma list, e.g. 64,1024")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--curve-out", default=None, help="also write (x, final, bound) rows")
-    p.add_argument("--x-axis", choices=("d", "T"), default="d")
+    p.add_argument("--curve-out", default=None, help="also write (d, final, bound) rows")
     _add_common(p, jobs=True)
     p.set_defaults(func=cmd_sweep)
     return parser
@@ -415,17 +415,25 @@ def _inject_config(argv: list[str]) -> list[str]:
     return rest[:1] + _load_config(found.config) + rest[1:]
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+@contextlib.contextmanager
+def usage_errors(parser: argparse.ArgumentParser):
+    """Exit 2 with one ``parser`` error line for a ``ValueError``,
+    ``OSError`` or ``MemoryError`` raised in the block."""
     try:
-        args = parser.parse_args(_inject_config(attach_negative_numbers(argv)))
-        return args.func(args)
+        yield
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
     except MemoryError as exc:
         # numpy's message says what it could not allocate; a bare one is empty
         parser.error(str(exc) or "out of memory")
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser()
+    with usage_errors(parser):
+        args = parser.parse_args(_inject_config(attach_negative_numbers(argv)))
+        return args.func(args)
 
 
 if __name__ == "__main__":

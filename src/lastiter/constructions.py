@@ -447,9 +447,8 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
-def sample_ball(rng: np.random.Generator, count: int, dim: int,
-                radius: float = 1.0) -> np.ndarray:
-    """Uniform samples from the ball: normalized Gaussian scaled by U^(1/dim).
+def sample_ball(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """Uniform samples from the unit ball: normalized Gaussian scaled by U^(1/dim).
     All normals are drawn, then all radii; the rows are then normalized and
     scaled in place, one block of ``engine.VALUE_BLOCK`` floats at a time."""
     g = rng.standard_normal((count, dim))
@@ -458,7 +457,6 @@ def sample_ball(rng: np.random.Generator, count: int, dim: int,
     for s in range(0, count, rows):
         blk = g[s:s + rows]
         blk /= _row_norms(blk)[:, None]
-        blk *= radius
         blk *= r[s:s + rows, None]
     return g
 

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import shlex
 import time
 import tracemalloc
 import warnings
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -103,10 +105,10 @@ def test_sweep_all_jobs_failing_leaves_a_header_only_curve(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "_verify_point", broken)
     out, curve = tmp_path / "s.csv", tmp_path / "c.csv"
     curve.write_text("d,final_suboptimality,bound\n2,0.5,0.25\n")   # an earlier run's
-    code = run(["sweep", "--family", "sc", "--d", "2,4", "--T", "64", "--x-axis", "T",
+    code = run(["sweep", "--family", "sc", "--d", "2,4", "--T", "64",
                 "--curve-out", str(curve), "--out", str(out)])
     assert code == 1
-    assert curve.read_text() == "T,final_suboptimality,bound\n"
+    assert curve.read_text() == "d,final_suboptimality,bound\n"
     assert out.read_text().splitlines()[1:] == ["sc,2,64,,,,False", "sc,4,64,,,,False"]
     failures = json.loads(capsys.readouterr().err)["failures"]
     assert [f["error"] for f in failures] == ["ValueError: non-finite subgradient"] * 2
@@ -122,6 +124,20 @@ def test_lowerbound_csv(tmp_path):
     cells = lines[1].split(",")
     assert cells[0] == "sc"
     assert float(cells[4]) == pytest.approx(math.log(2) / 20, rel=1e-12)
+
+
+def test_failing_verify_csv_writes_its_row_and_a_one_record_report(tmp_path, capsys):
+    # a negative tolerance fails the check at the first iterate
+    out = tmp_path / "v.csv"
+    code = run(["verify", "--family", "sc", "--d", "4", "--T", "64", "--tol", "-1",
+                "--format", "csv", "--out", str(out)])
+    assert code == 1
+    header, row = out.read_text().splitlines()
+    assert header == "family,d,T,max_deviation,final_value,bound,pass"
+    assert row.startswith("sc,4,64,") and row.endswith(",False")
+    failures = json.loads(capsys.readouterr().err)["failures"]
+    assert len(failures) == 1
+    assert failures[0]["pass"] is False and failures[0]["tol"] == -1
 
 
 def test_certify_exits_clean(tmp_path):
@@ -383,6 +399,29 @@ def test_sweep_csv_curve_and_idempotence(tmp_path):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("text", ["", ",", "x", "1,x", "1.5"])
+def test_sweep_list_that_is_not_integers_is_a_usage_error(text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--family", "sc", "--d", text, "--T", "64"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"lastiter sweep: error: argument --d: not a comma-separated list of "
+        f"integers: {text!r}")
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    # every command of the README's "Command line" block, so the
+    # documentation cannot name a removed flag
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    monkeypatch.chdir(tmp_path)
+    assert len(commands) >= 7
+    for argv in commands:
+        assert argv[0] == "lastiter" and run(argv[1:]) == 0, argv
+
+
 def test_sweep_skips_invalid_pairs_and_rejects_empty(tmp_path):
     out = tmp_path / "s.csv"
     assert run(["sweep", "--family", "lip-dec", "--d", "4,128", "--T", "64",
@@ -589,10 +628,7 @@ def test_failure_report_shape(capsys):
 
 def test_emit_curve_contract():
     with pytest.raises(ValueError):
-        cli.emit_curve([], x_axis="d")
-    with pytest.raises(ValueError):
-        cli.emit_curve([{"d": 1, "T": 2, "final_value": 0.1, "bound": 0.05}],
-                       x_axis="q")
+        cli.emit_curve([])
     head, rows = cli.emit_curve(
         [{"d": 4, "T": 2, "final_value": 0.2, "bound": 0.1},
          {"d": 2, "T": 2, "final_value": 0.1, "bound": 0.05}])

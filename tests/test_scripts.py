@@ -50,14 +50,34 @@ def test_mc_scaling_study_rejects_shapes_that_need_knots():
     (("--horizons", "100,x"), "not a comma-separated list of integers: '100,x'"),
     (("--epsilon", "2"), "epsilon must lie in (0, 1]"),
     (("--epsilon", "-1e-3"), "epsilon must lie in (0, 1]"),
-    (("--seed", "-1", "--horizons", "100"), "seed must lie in [0, 2^64), got -1"),
-], ids=["trials", "horizons", "epsilon", "epsilon-negative-exponent", "seed-negative"])
+    (("--seed", "-1", "--horizons", "100"), "argument --seed: must lie in [0, 2^64), got -1"),
+    (("--trials", "100", "--horizons", "100,0"), "--horizons must all be >= 1, got 0"),
+], ids=["trials", "horizons", "epsilon", "epsilon-negative-exponent", "seed-negative",
+        "horizon-zero"])
 def test_mc_scaling_study_exits_2_on_inputs_it_cannot_serve(args, message):
     proc = run_script("mc_scaling_study.py", *args)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--dims", "x"), "argument --dims: not a comma-separated list of integers: 'x'"),
+    (("--T", "0"), "argument --T: must be >= 1, got 0"),
+    (("--dims", "8", "--T", "4"), "--dims must be >= 1 and hold some d <= --T, "
+                                  "got --dims 8 and --T 4"),
+    (("--dims", "0,2", "--T", "4"), "--dims must be >= 1 and hold some d <= --T, "
+                                    "got --dims 0,2 and --T 4"),
+], ids=["dims-not-integers", "T-zero", "no-d-below-T", "d-zero"])
+def test_bound_vs_dimension_exits_2_before_making_its_out_dir(tmp_path, args, message):
+    out_dir = tmp_path / "out"
+    proc = run_script("bound_vs_dimension.py", *args, "--out-dir", str(out_dir))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == [f"bound_vs_dimension.py: error: {message}"]
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-file"])
